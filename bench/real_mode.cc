@@ -17,11 +17,11 @@
 //                  own pages (client-local logging: commit = one local
 //                  log force, zero messages). Measures end-to-end commit
 //                  latency including the real fsync.
-//   BM_Recovery    Restart recovery wall clock at redo_workers 0/1/4
-//                  under adaptive logging: classic per-page replay vs the
-//                  dependency-parallel redo scheduler's worker pool
-//                  (docs/RECOVERY_WALKTHROUGH.md "Parallel redo"). The
-//                  speedup at 4 workers is the headline number.
+//   BM_Recovery    Restart recovery wall clock at redo_workers 1/4 under
+//                  adaptive logging: the chain scheduler replaying on the
+//                  node's own thread vs on a 4-thread worker pool
+//                  (docs/RECOVERY_WALKTHROUGH.md "Redo of self-only
+//                  pages"). The w1/w4 ratio is the worker scaling.
 //
 // Results go to BENCH_real.json (scripts/run_bench.sh --real). They are
 // wall-clock and machine-dependent: recorded for eyeballing trends, never
@@ -201,13 +201,13 @@ struct RecoveryResult {
 };
 
 /// BM_Recovery: restart recovery wall clock vs redo worker count
-/// (docs/RECOVERY_WALKTHROUGH.md "Parallel redo"). One owner commits
-/// adaptive single-page transactions against 16 of its own pages, crashes
-/// with the cache lost, and restarts. With redo_workers=0 the classic
-/// path replays page by page, rescanning the log per page; with workers
-/// the scheduler makes one raw pass and the pool checksums/decodes/
-/// applies page-disjoint chains concurrently. Identical log, identical
-/// final pages — only the redo engine differs.
+/// (docs/RECOVERY_WALKTHROUGH.md "Redo of self-only pages"). One owner
+/// commits adaptive single-page transactions against 16 of its own pages,
+/// crashes with the cache lost, and restarts. The chain scheduler makes
+/// one raw pass over the log either way; with 1 worker the node's thread
+/// replays the page-disjoint chains in order, with 4 a pool checksums,
+/// decodes and applies them concurrently. Identical log, identical final
+/// pages — only the replay parallelism differs.
 RecoveryResult MeasureRecovery(std::size_t redo_workers, int rounds) {
   std::string dir = "/tmp/clog_bench_real_recovery";
   std::system(("rm -rf " + dir).c_str());
@@ -339,9 +339,8 @@ int main(int argc, char** argv) {
       rounds * 16);
   std::printf("%-10s | %10s %7s %9s %9s\n", "workers", "wall_ms", "chains",
               "par_pages", "applied");
-  double w0_ms = 0, w4_ms = 0;
-  for (std::size_t workers : {std::size_t{0}, std::size_t{1},
-                              std::size_t{4}}) {
+  double w1_ms = 0, w4_ms = 0;
+  for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     RecoveryResult r = MeasureRecovery(workers, rounds);
     std::printf("%-10zu | %10.2f %7llu %9llu %9llu\n", workers, r.wall_ms,
                 static_cast<unsigned long long>(r.chains),
@@ -349,12 +348,13 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.applied));
     std::string key = "real_recovery_w" + std::to_string(workers);
     kv.push_back({key + "_ms", r.wall_ms});
-    if (workers == 0) w0_ms = r.wall_ms;
+    if (workers == 1) w1_ms = r.wall_ms;
     if (workers == 4) w4_ms = r.wall_ms;
   }
-  const double speedup = w4_ms > 0 ? w0_ms / w4_ms : 0;
-  std::printf("parallel redo speedup at 4 workers: %.2fx (target >= 1.5x)\n",
-              speedup);
+  // Worker scaling of the replay alone: both rows run the same one-pass
+  // scheduler, so this ratio isolates what the pool adds.
+  const double speedup = w4_ms > 0 ? w1_ms / w4_ms : 0;
+  std::printf("redo worker scaling, 1 -> 4 workers: %.2fx\n", speedup);
   kv.push_back({"real_recovery_parallel_speedup", speedup});
 
   if (!json_path.empty()) {

@@ -54,10 +54,9 @@ struct ClusterOptions {
   /// failure detector, and request parking. Disabled by default so
   /// fail-fast crash semantics stay exactly as before unless opted in.
   RetryPolicy retry_policy;
-  /// Unified logging policy applied to every node (unless a node's AddNode
-  /// override already set its own). Strategy selection, group commit,
-  /// archive cadence, and redo parallelism in one value; see
-  /// node/options.h. Defaults preserve the classic behavior exactly.
+  /// Unified logging policy of every node whose NodeOptions leave
+  /// logging_policy unset. Strategy selection, group commit, archive
+  /// cadence, and the redo pool size in one value; see node/options.h.
   LoggingPolicy logging_policy;
   /// Optional structured-event trace sink (not owned; must outlive the
   /// cluster). The cluster binds its SimClock to the sink and wires it

@@ -71,7 +71,7 @@ Status Node::Checkpoint() {
   // page was shipped here. That ordering is the archive's WAL rule.
   if (archive_.is_open() &&
       ++ckpts_since_archive_ >=
-          options_.logging_policy.archive.every_checkpoints) {
+          options_.logging_policy->archive.every_checkpoints) {
     ckpts_since_archive_ = 0;
     CLOG_RETURN_IF_ERROR(ArchivePass());
   }

@@ -159,7 +159,7 @@ std::string Node::DebugString() const {
     if (t->strategy == LogStrategy::kAdaptive) ++adaptive_live;
   }
   out << "  logging: strategy="
-      << LogStrategyName(options_.logging_policy.strategy)
+      << LogStrategyName(options_.logging_policy->strategy)
       << " adaptive_live=" << adaptive_live
       << " logical_stashes=" << live_logical_txns_
       << " begins_adaptive=" << metrics_.CounterValue("txn.begins_adaptive")

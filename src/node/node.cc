@@ -32,6 +32,7 @@ Node::Node(NodeId id, NodeOptions options, Network* network,
       ctr_txn_commits_logical_(&metrics_.GetCounter("txn.commits_logical")),
       ctr_txn_logical_records_(&metrics_.GetCounter("txn.logical_records")),
       ctr_txn_upgrades_(&metrics_.GetCounter("txn.upgrades")) {
+  if (!options_.logging_policy) options_.logging_policy.emplace();
   pool_.SetEvictionHandler([this](PageId pid, Page* page, bool dirty) {
     return OnEviction(pid, page, dirty);
   });
@@ -61,7 +62,7 @@ Status Node::OpenStorage() {
   // ceded tombstones, adopted pages). File-less on nodes that never handed
   // off a page.
   CLOG_RETURN_IF_ERROR(handoff_.Open(options_.dir));
-  if (options_.logging_policy.archive.enabled) {
+  if (options_.logging_policy->archive.enabled) {
     CLOG_RETURN_IF_ERROR(archive_.Open(options_.dir));
   }
   return Status::OK();
@@ -444,32 +445,6 @@ Result<Page*> Node::AcquireRecord(Transaction* txn, RecordId rid,
 // Logged updates, redo application, undo
 // ---------------------------------------------------------------------------
 
-Status Node::ApplyRedo(const LogRecord& rec, Page* page) {
-  if (rec.psn_before != page->psn()) {
-    return Status::FailedPrecondition(
-        "psn mismatch applying " + rec.ToString() + " to page at psn " +
-        std::to_string(page->psn()));
-  }
-  SlottedPage sp(page);
-  switch (rec.op) {
-    case RecordOp::kInsert:
-      CLOG_RETURN_IF_ERROR(sp.InsertAt(rec.slot, rec.redo_image));
-      break;
-    case RecordOp::kUpdate:
-      CLOG_RETURN_IF_ERROR(sp.Update(rec.slot, rec.redo_image));
-      break;
-    case RecordOp::kDelete:
-      CLOG_RETURN_IF_ERROR(sp.Delete(rec.slot));
-      break;
-    case RecordOp::kFormat:
-      page->Format(rec.page, PageType::kData, rec.psn_before);
-      sp.InitBody();
-      break;
-  }
-  page->BumpPsn();
-  return Status::OK();
-}
-
 Status Node::AppendWithReclaim(const LogRecord& rec, Lsn* lsn) {
   Status st = log_.Append(rec, lsn);
   if (!st.IsLogFull()) return st;
@@ -662,7 +637,7 @@ Status Node::RollbackTo(Transaction* txn, Lsn target_lsn) {
 Result<TxnId> Node::Begin(TxnOptions opts) {
   if (state_ != NodeState::kUp) return Status::NodeDown("node not up");
   Transaction* txn = txns_.Begin();
-  txn->strategy = opts.strategy.value_or(options_.logging_policy.strategy);
+  txn->strategy = opts.strategy.value_or(options_.logging_policy->strategy);
   if (txn->strategy == LogStrategy::kAdaptive) {
     ctr_txn_begins_adaptive_->Add(1);
   }
@@ -786,7 +761,7 @@ Status Node::Commit(TxnId txn_id) {
 bool Node::GroupCommitEnabled() const {
   // Coalescing only makes sense where the commit force is purely local —
   // the paper's protocol. B1 forces at the owner, B2 forces pages.
-  return options_.logging_policy.group_commit.enabled &&
+  return options_.logging_policy->group_commit.enabled &&
          options_.logging_mode == LoggingMode::kClientLocal;
 }
 
@@ -825,7 +800,7 @@ Result<bool> Node::CommitRequest(TxnId txn_id) {
                  static_cast<std::uint32_t>(commit_group_.size()));
   }
   if (commit_group_.size() >=
-      options_.logging_policy.group_commit.max_group_size) {
+      options_.logging_policy->group_commit.max_group_size) {
     CLOG_RETURN_IF_ERROR(FlushCommitGroup());
     return true;
   }
@@ -836,7 +811,7 @@ Result<bool> Node::PollCommit(TxnId txn_id) {
   for (const ParkedCommit& p : commit_group_) {
     if (p.txn != txn_id) continue;
     if (network_->clock()->NowNanos() <
-        p.parked_at_ns + options_.logging_policy.group_commit.window_ns) {
+        p.parked_at_ns + options_.logging_policy->group_commit.window_ns) {
       return false;  // Still inside the coalescing window.
     }
     CLOG_RETURN_IF_ERROR(FlushCommitGroup());

@@ -299,7 +299,8 @@ class Node : public NodeService {
 
   // --- Media failure (docs/RECOVERY_WALKTHROUGH.md "Media recovery") ---
 
-  /// The fuzzy page archive (open iff options().logging_policy.archive.enabled).
+  /// The fuzzy page archive (open iff
+  /// options().logging_policy->archive.enabled).
   const PageArchive& archive() const { return archive_; }
 
   /// Owned pages whose committed state is unrecoverable; they refuse
@@ -444,6 +445,42 @@ class Node : public NodeService {
   /// a rebuild is already on the stack.
   Status EnsureRestored(PageId pid);
 
+  // --- Page rebuild, shared by restart recovery and instant restore
+  // (page_service.cc) ---
+
+  /// Fills `base` with the starting image for rebuilding own page `pid`,
+  /// whose durable copy is gone: the newest archived image when one exists
+  /// for this incarnation, else an empty page at the durable PSN seed.
+  /// Returns true when the image came from the archive.
+  bool LostPageBase(PageId pid, Page* base);
+
+  /// What one ReplayPsnRuns call did.
+  struct PsnReplay {
+    std::uint64_t rounds = 0;   ///< RecoverPage rounds issued.
+    std::uint64_t applied = 0;  ///< Redo records applied.
+    bool poisoned = false;      ///< A PSN hole fenced the page.
+  };
+
+  /// Section 2.3.4 steps 2-4 for own page `pid`: merges `lists` into
+  /// ascending PSN runs and bounces `page` through them, one RecoverPage
+  /// round per run (self rounds bypass the network), each bounded just
+  /// below the next run's PSN. Runs wholly below the page's PSN are
+  /// skipped. A run starting above it proves records no surviving log
+  /// holds: the page is poisoned durably, `poisoned` is set and `page` is
+  /// left where the replay stopped.
+  Status ReplayPsnRuns(
+      PageId pid, const std::map<NodeId, std::vector<PsnListEntry>>& lists,
+      Page* page, PsnReplay* out);
+
+  /// Lands rebuilt image `page` of own page `pid`: installs it dirty in the
+  /// pool, records every other node in `lists` as a replacer, forces it
+  /// (the flush notifications let every contributor clear its DPT entry),
+  /// lifts a poison entry whose needed PSN the rebuild reached, and counts
+  /// recovery.pages_recovered.
+  Status LandRebuiltPage(
+      PageId pid, const Page& page,
+      const std::map<NodeId, std::vector<PsnListEntry>>& lists);
+
   /// WAL for page transfer: before any image of `pid` leaves this node
   /// (grant-time transfer, callback, ship, recovery fetch), every local
   /// log record describing it must be durable — otherwise a page whose
@@ -534,9 +571,6 @@ class Node : public NodeService {
   void ChargeLogForce();
   void ChargeCpuOp();
 
-  /// Redo applier shared by restart recovery and HandleRecoverPage.
-  static Status ApplyRedo(const LogRecord& rec, Page* page);
-
   NodeId id_;
   NodeOptions options_;
   Network* network_;
@@ -563,8 +597,9 @@ class Node : public NodeService {
   OwnershipDirectory* directory_ = nullptr;
   std::set<PageId> handoff_fenced_;
   /// Media-recovery side state (node/archive.h). The archive is open only
-  /// when options_.logging_policy.archive.enabled; the poison ledger is always loaded but
-  /// keeps no file while empty, so both cost nothing on healthy nodes.
+  /// when options_.logging_policy->archive.enabled; the poison ledger is
+  /// always loaded but keeps no file while empty, so both cost nothing on
+  /// healthy nodes.
   PageArchive archive_;
   PoisonLedger poison_;
   /// Instant restore (recovery/instant_restore.h): per-page rebuild plans

@@ -93,8 +93,9 @@ enum class LogStrategy : std::uint8_t {
 std::string_view LogStrategyName(LogStrategy s);
 
 /// The unified logging policy: strategy selection, commit-force coalescing,
-/// archive cadence, and recovery parallelism in one value type, replacing
-/// the scattered per-feature option structs.
+/// archive cadence, and the restart redo pool size in one value type. A
+/// cluster sets it once (ClusterOptions::logging_policy); a node inherits
+/// it unless its NodeOptions carry their own.
 ///
 /// Named setters chain, so call sites read as one declaration:
 ///
@@ -104,10 +105,11 @@ std::string_view LogStrategyName(LogStrategy s);
 ///       .WithRedoWorkers(4);
 struct LoggingPolicy {
   LogStrategy strategy = LogStrategy::kPhysical;
-  /// Dependency-parallel redo: number of worker threads replaying
-  /// independent transaction chains during restart recovery (real
-  /// execution mode; in sim the chains replay sequentially in a
-  /// deterministic order). 0 = classic PSN-order redo everywhere.
+  /// Restart redo pool size: worker threads replaying the chain
+  /// scheduler's independent transaction chains (docs/RECOVERY_WALKTHROUGH.md
+  /// "Redo of self-only pages") in real execution mode. 0 or 1 replays
+  /// the chains in order on the node's own thread, as the simulation
+  /// always does.
   std::size_t redo_workers = 0;
   GroupCommitPolicy group_commit;
   ArchiveOptions archive;
@@ -180,8 +182,9 @@ struct NodeOptions {
   /// into this node's DiskManager and LogManager on open. nullptr = off.
   FaultInjector* fault_injector = nullptr;
   /// The unified logging policy (strategy, group commit, archive cadence,
-  /// redo parallelism).
-  LoggingPolicy logging_policy;
+  /// redo pool size). Unset = inherit ClusterOptions::logging_policy; a
+  /// node built outside a cluster runs the default policy.
+  std::optional<LoggingPolicy> logging_policy;
   /// On-demand media recovery: serve traffic while lost pages rebuild at
   /// first touch. Disabled by default (eager rebuild, as before).
   InstantRestoreOptions instant_restore;

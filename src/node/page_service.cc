@@ -1,11 +1,14 @@
 #include <algorithm>
 
 #include "node/node.h"
+#include "recovery/node_psn_list.h"
 #include "trace/trace_sink.h"
 
 /// \file
 /// NodeService handlers: the owner-side page/lock service of Section 2.2
-/// and the peer-side recovery protocol of Sections 2.3-2.4.
+/// and the peer-side recovery protocol of Sections 2.3-2.4, plus the
+/// coordinator-side page rebuild that restart recovery and instant restore
+/// share.
 
 namespace clog {
 
@@ -599,6 +602,84 @@ Status Node::HandleRecoverPage(NodeId from, PageId pid, const Page& page_in,
   work->SealChecksum();
   reply->page = std::move(work);
   metrics_.GetCounter("recovery.redo_applied").Add(reply->applied);
+  return Status::OK();
+}
+
+bool Node::LostPageBase(PageId pid, Page* base) {
+  // (An archived image older than the seed is from a prior life of a freed
+  // and reallocated slot — useless for this incarnation.)
+  if (archive_.is_open() && archive_.Restore(pid.page_no, base).ok() &&
+      base->psn() >= DurableSeedPsn(pid)) {
+    metrics_.GetCounter("media.archive_restores").Add(1);
+    return true;
+  }
+  base->Format(pid, PageType::kData, DurableSeedPsn(pid));
+  SlottedPage(base).InitBody();
+  metrics_.GetCounter("recovery.pages_rebuilt_from_seed").Add(1);
+  return false;
+}
+
+Status Node::ReplayPsnRuns(
+    PageId pid, const std::map<NodeId, std::vector<PsnListEntry>>& lists,
+    Page* page, PsnReplay* out) {
+  *out = PsnReplay();
+  const std::vector<RecoveryRun> runs = MergePsnLists(lists);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    // Runs wholly below the page are already-reflected history: an archive
+    // or disk base subsumes them (full-history rebuilds ask every log for
+    // the page's whole life). No round needed.
+    if (i + 1 < runs.size() && runs[i + 1].psn <= page->psn()) continue;
+    if (runs[i].psn > page->psn()) {
+      // PSN density: every update bumped the PSN by exactly one, so the
+      // schedule must tile upward from the base without gaps. A run
+      // starting above the page's current PSN proves records existed that
+      // no surviving log holds (a destroyed client log). Serving the page
+      // would be silent data loss — fence it durably instead. The verdict
+      // records the PSN the rebuild needs to reach; a later rebuild that
+      // does reach it (say, that client came back) lifts the fence.
+      CLOG_RETURN_IF_ERROR(PoisonOwnPage(pid, runs[i].psn));
+      out->poisoned = true;
+      return Status::OK();
+    }
+    const bool has_bound = i + 1 < runs.size();
+    const Psn bound = has_bound ? runs[i + 1].psn - 1 : 0;
+    RecoverPageReply reply;
+    ++out->rounds;
+    if (runs[i].node == id_) {
+      CLOG_RETURN_IF_ERROR(
+          HandleRecoverPage(id_, pid, *page, has_bound, bound, &reply));
+    } else {
+      CLOG_RETURN_IF_ERROR(network_->RecoverPage(id_, runs[i].node, pid, *page,
+                                                 has_bound, bound, &reply));
+    }
+    if (reply.page) page->CopyFrom(*reply.page);
+    out->applied += reply.applied;
+  }
+  return Status::OK();
+}
+
+Status Node::LandRebuiltPage(
+    PageId pid, const Page& page,
+    const std::map<NodeId, std::vector<PsnListEntry>>& lists) {
+  Page* frame = pool_.Lookup(pid);
+  if (frame == nullptr) {
+    CLOG_ASSIGN_OR_RETURN(frame, pool_.Insert(pid));
+  }
+  frame->CopyFrom(page);
+  pool_.MarkDirty(pid);
+  for (const auto& [peer, _] : lists) {
+    if (peer != id_) replacers_[pid].insert(peer);
+  }
+  CLOG_RETURN_IF_ERROR(ForceOwnPage(pid));
+  const Psn needed = poison_.NeededPsn(pid);
+  if (needed != 0 && needed != kPsnUnrecoverable && page.psn() >= needed) {
+    // An earlier rebuild poisoned this page over a PSN hole; this one got
+    // past it (a missing client's log came back). The image is durable as
+    // of the force above, so the fence can lift.
+    CLOG_RETURN_IF_ERROR(UnpoisonPage(pid));
+    metrics_.GetCounter("media.pages_unpoisoned").Add(1);
+  }
+  metrics_.GetCounter("recovery.pages_recovered").Add(1);
   return Status::OK();
 }
 

@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "recovery/redo_scheduler.h"
-#include "storage/slotted_page.h"
 #include "trace/trace_sink.h"
 #include "wal/log_reader.h"
 
@@ -129,77 +128,18 @@ Status RestartRecovery::GatherPsnLists(
   return Status::OK();
 }
 
-Status RestartRecovery::RedoRound(NodeId target, PageId pid, const Page& in,
-                                  bool has_bound, Psn bound,
-                                  RecoverPageReply* reply) {
-  ++stats_.redo_rounds;
-  if (target == node_->id_) {
-    return node_->HandleRecoverPage(node_->id_, pid, in, has_bound, bound,
-                                    reply);
-  }
-  return node_->network_->RecoverPage(node_->id_, target, pid, in, has_bound,
-                                      bound, reply);
-}
-
-Status RestartRecovery::CoordinatePageRecovery(
-    PageId pid, Page* base,
-    const std::map<NodeId, std::vector<PsnListEntry>>& lists) {
-  // Section 2.3.4 step 1: ascending PSN order, adjacent same-node entries
-  // merged.
-  std::vector<RecoveryRun> runs = MergePsnLists(lists);
-
-  // Steps 2-4: bounce the page through the involved nodes. Each node
-  // applies redo until the next run's PSN would be reached.
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    // Runs wholly below the base image are already-reflected history: an
-    // archive or disk base subsumes them (full-history rebuilds ask every
-    // log for the page's whole life). No round needed.
-    if (i + 1 < runs.size() && runs[i + 1].psn <= base->psn()) continue;
-    if (runs[i].psn > base->psn()) {
-      // PSN density: every update bumped the PSN by exactly one, so the
-      // schedule must tile upward from the base without gaps. A run
-      // starting above the page's current PSN proves records existed that
-      // no surviving log holds (a destroyed client log). Serving the page
-      // would be silent data loss — fence it durably instead. The verdict
-      // records the PSN the rebuild needs to reach; a later restart that
-      // does reach it (say, that client came back) lifts the fence.
-      CLOG_RETURN_IF_ERROR(node_->PoisonOwnPage(pid, runs[i].psn));
-      ++stats_.pages_poisoned;
-      return Status::OK();
+Result<bool> RestartRecovery::FetchCachedCopy(
+    PageId pid, const std::vector<NodeId>& holders) {
+  for (NodeId holder : holders) {
+    std::shared_ptr<Page> copy;
+    Status st =
+        node_->network_->FetchCachedPage(node_->id_, holder, pid, &copy);
+    if (st.ok() && copy) {
+      CLOG_RETURN_IF_ERROR(node_->InstallShippedCopy(*copy, holder));
+      return true;
     }
-    bool has_bound = i + 1 < runs.size();
-    Psn bound = has_bound ? runs[i + 1].psn - 1 : 0;
-    RecoverPageReply reply;
-    CLOG_RETURN_IF_ERROR(
-        RedoRound(runs[i].node, pid, *base, has_bound, bound, &reply));
-    if (reply.page) base->CopyFrom(*reply.page);
-    stats_.redo_applied += reply.applied;
   }
-
-  // The recovered image lands in our buffer pool; forcing it to disk lets
-  // every contributor clear its DPT entry via the flush notification
-  // (conservative variant of the Section 2.3.4 DPT adjustments).
-  Page* frame = node_->pool_.Lookup(pid);
-  if (frame == nullptr) {
-    CLOG_ASSIGN_OR_RETURN(frame, node_->pool_.Insert(pid));
-  }
-  frame->CopyFrom(*base);
-  node_->pool_.MarkDirty(pid);
-  for (const auto& [peer, _] : lists) {
-    if (peer != node_->id_) node_->replacers_[pid].insert(peer);
-  }
-  CLOG_RETURN_IF_ERROR(node_->ForceOwnPage(pid));
-  const Psn needed = node_->poison_.NeededPsn(pid);
-  if (needed != 0 && needed != kPsnUnrecoverable && base->psn() >= needed) {
-    // A previous restart poisoned this page over a PSN hole; this rebuild
-    // got past it (a missing client's log came back). The image is durable
-    // as of the ForceOwnPage above, so the fence can lift.
-    CLOG_RETURN_IF_ERROR(node_->UnpoisonPage(pid));
-    node_->metrics_.GetCounter("media.pages_unpoisoned").Add(1);
-  }
-  ++stats_.own_pages_recovered;
-  node_->metrics_.GetCounter("recovery.pages_recovered").Add(1);
-  return Status::OK();
+  return false;
 }
 
 Status RestartRecovery::RecoverOwnPages() {
@@ -242,6 +182,39 @@ Status RestartRecovery::RecoverOwnPages() {
     return RecoverOwnPagesAfterLogLoss(cached_at);
   }
 
+  std::vector<RedoWork> work;
+  std::uint64_t deferred_with_peer = 0;
+  CLOG_RETURN_IF_ERROR(
+      PlanOwnPages(&contributors, cached_at, &work, &deferred_with_peer));
+  CLOG_RETURN_IF_ERROR(RedoOwnPages(&work));
+
+  // Ledger hygiene: any restore-ledger entry without a live plan was
+  // handled eagerly above (rescued from a peer cache, readable after all,
+  // rebuilt, or poisoned) — durably forget it so later restarts stop
+  // re-probing it.
+  for (std::uint64_t packed : node_->restore_.LedgerEntries()) {
+    const PageId pid = PageId::Unpack(packed);
+    if (!node_->restore_.IsRestoring(pid)) {
+      CLOG_RETURN_IF_ERROR(node_->restore_.Forget(pid));
+    }
+  }
+  if (stats_.pages_deferred != 0) {
+    node_->metrics_.GetCounter("restore.pages_planned")
+        .Add(stats_.pages_deferred);
+    if (node_->trace_ != nullptr) {
+      node_->trace_->Emit(me, TraceEventType::kRestorePlan,
+                          stats_.pages_deferred, deferred_with_peer);
+    }
+  }
+  return Status::OK();
+}
+
+Status RestartRecovery::PlanOwnPages(
+    std::map<PageId, std::map<NodeId, DptEntry>>* contributors,
+    const std::map<PageId, std::vector<NodeId>>& cached_at,
+    std::vector<RedoWork>* work, std::uint64_t* deferred_with_peer) {
+  const NodeId me = node_->id_;
+
   // Media scan (requires the archive subsystem): flushes only ever extend
   // the database file, so a file shorter than the allocation horizon means
   // the data device was lost and recreated. Every allocated page becomes a
@@ -262,7 +235,7 @@ Status RestartRecovery::RecoverOwnPages() {
           // data device owes them nothing.
           if (node_->handoff_.IsCeded(probe)) continue;
           media_probe.insert(probe);
-          if (contributors.try_emplace(probe).second) {
+          if (contributors->try_emplace(probe).second) {
             ++stats_.media_candidates;
           }
         }
@@ -282,7 +255,7 @@ Status RestartRecovery::RecoverOwnPages() {
       continue;
     }
     if (media_probe.insert(pid).second &&
-        contributors.try_emplace(pid).second) {
+        contributors->try_emplace(pid).second) {
       ++stats_.media_candidates;
     }
   }
@@ -291,17 +264,11 @@ Status RestartRecovery::RecoverOwnPages() {
         .Add(stats_.media_candidates);
   }
 
-  struct WorkItem {
-    PageId pid;
-    std::unique_ptr<Page> base;
-    std::map<NodeId, DptEntry> involved;
-    bool full_history = false;  ///< Rebuilding a torn page from its seed.
-  };
-  std::vector<WorkItem> work;
-  std::uint64_t deferred = 0, deferred_with_peer = 0;
-
-  for (auto& [pid, contribs] : contributors) {
+  // Sort every candidate, in PageId order: clean, fenced, deferred to
+  // instant restore, rescued from a peer's cache, or redo work.
+  for (auto& [pid, contribs] : *contributors) {
     auto cit = cached_at.find(pid);
+    const bool device_rebuilding = media_probe.contains(pid);
     // Instant restore defers media-lost pages even when a peer caches a
     // copy: the plan records the holder as a peer candidate and the
     // on-demand rebuild fetches it at first touch, so restart itself does
@@ -309,28 +276,17 @@ Status RestartRecovery::RecoverOwnPages() {
     // rebuild falls back to archive + redo — the contributors' logs stay
     // pinned below either way.)
     const bool defer_to_restore =
-        node_->options_.instant_restore.enabled && media_probe.contains(pid);
+        node_->options_.instant_restore.enabled && device_rebuilding;
     if (cit != cached_at.end() && !defer_to_restore) {
       // Section 2.3.1: a copy cached at an operational node carries every
       // update made before the crash; fetch it instead of redoing logs.
-      bool fetched = false;
-      for (NodeId holder : cit->second) {
-        std::shared_ptr<Page> copy;
-        Status st =
-            node_->network_->FetchCachedPage(me, holder, pid, &copy);
-        if (st.ok() && copy) {
-          CLOG_RETURN_IF_ERROR(node_->InstallShippedCopy(*copy, holder));
-          fetched = true;
-          break;
-        }
-      }
+      CLOG_ASSIGN_OR_RETURN(bool fetched, FetchCachedCopy(pid, cit->second));
       if (fetched || node_->pool_.Contains(pid)) {
         for (const auto& [n, e] : contribs) {
           if (n != me) node_->replacers_[pid].insert(n);
         }
         ++stats_.own_pages_fetched;
         node_->metrics_.GetCounter("recovery.pages_fetched_from_cache").Add(1);
-        const bool device_rebuilding = media_probe.contains(pid);
         if (node_->poison_.Contains(pid) &&
             (device_rebuilding || node_->pool_.IsDirty(pid))) {
           // A surviving cached copy carries every committed update — it
@@ -363,11 +319,10 @@ Status RestartRecovery::RecoverOwnPages() {
     Status rd = node_->ReadDurablePage(pid, base.get());
     node_->ChargeDiskRead();
 
-    WorkItem item;
+    RedoWork item;
     item.pid = pid;
     if (rd.IsCorruption() || rd.IsNotFound()) {
-      if (node_->options_.instant_restore.enabled &&
-          media_probe.contains(pid)) {
+      if (defer_to_restore) {
         // Instant restore: don't rebuild now. Record everything the
         // on-demand rebuild will need — durably, so a crash mid-epoch
         // re-probes this page even after later rebuilds re-extend the
@@ -383,14 +338,13 @@ Status RestartRecovery::RecoverOwnPages() {
         }
         plan.priority = static_cast<std::uint32_t>(
             contribs.size() + plan.peer_candidates.size());
-        if (!plan.peer_candidates.empty()) ++deferred_with_peer;
+        if (!plan.peer_candidates.empty()) ++*deferred_with_peer;
         // Pin the contributors' logs: their DPT entries stand until the
         // rebuild's page force sends flush notifications.
         for (const auto& [n, e] : contribs) {
           if (n != me) node_->replacers_[pid].insert(n);
         }
         CLOG_RETURN_IF_ERROR(node_->restore_.Add(std::move(plan)));
-        ++deferred;
         ++stats_.pages_deferred;
         continue;
       }
@@ -399,24 +353,8 @@ Status RestartRecovery::RecoverOwnPages() {
       // is gone; start from the newest archived image if one exists, else
       // from the page's space-map PSN seed — the PSN this incarnation
       // started at — and redo the whole history forward from that base.
-      bool from_archive = false;
-      if (node_->archive_.is_open()) {
-        Status ar = node_->archive_.Restore(pid.page_no, base.get());
-        if (ar.ok() && base->psn() >= node_->DurableSeedPsn(pid)) {
-          // (An image older than the seed is from a prior life of a freed
-          // and reallocated slot — useless for this incarnation.)
-          from_archive = true;
-          ++stats_.archive_restores;
-          node_->metrics_.GetCounter("media.archive_restores").Add(1);
-        }
-      }
-      if (!from_archive) {
-        base->Format(pid, PageType::kData, node_->DurableSeedPsn(pid));
-        SlottedPage(base.get()).InitBody();
-        node_->metrics_.GetCounter("recovery.pages_rebuilt_from_seed").Add(1);
-      }
+      if (node_->LostPageBase(pid, base.get())) ++stats_.archive_restores;
       item.full_history = true;
-      item.involved = contribs;
     } else {
       CLOG_RETURN_IF_ERROR(rd);
       Psn disk_psn = base->psn();
@@ -425,7 +363,7 @@ Status RestartRecovery::RecoverOwnPages() {
       // (the flush notification does exactly that).
       for (const auto& [n, e] : contribs) {
         if (e.curr_psn > disk_psn) {
-          item.involved[n] = e;
+          item.involved.push_back(n);
         } else if (n != me) {
           node_->network_->FlushNotify(me, n, pid, disk_psn).ok();
         } else {
@@ -438,9 +376,13 @@ Status RestartRecovery::RecoverOwnPages() {
       }
     }
     item.base = std::move(base);
-    work.push_back(std::move(item));
+    work->push_back(std::move(item));
   }
+  return Status::OK();
+}
 
+Status RestartRecovery::RedoOwnPages(std::vector<RedoWork>* work) {
+  const NodeId me = node_->id_;
   // Section 2.3.4: one NodePSNList request per involved node, covering all
   // of that node's pages. Full-history rebuilds must hear from *every*
   // reachable node, not just DPT contributors: a node whose flushed
@@ -448,7 +390,7 @@ Status RestartRecovery::RecoverOwnPages() {
   // part of the history being replayed from the seed.
   std::map<NodeId, std::vector<PageId>> pages_per_node;
   std::map<NodeId, std::vector<PageId>> full_pages_per_node;
-  for (const WorkItem& item : work) {
+  for (const RedoWork& item : *work) {
     if (item.full_history) {
       full_pages_per_node[me].push_back(item.pid);
       for (const auto& [peer, _] : peer_replies_) {
@@ -456,9 +398,7 @@ Status RestartRecovery::RecoverOwnPages() {
       }
       continue;
     }
-    for (const auto& [n, _] : item.involved) {
-      pages_per_node[n].push_back(item.pid);
-    }
+    for (NodeId n : item.involved) pages_per_node[n].push_back(item.pid);
   }
   std::map<PageId, std::map<NodeId, std::vector<PsnListEntry>>> lists;
   CLOG_RETURN_IF_ERROR(
@@ -466,110 +406,69 @@ Status RestartRecovery::RecoverOwnPages() {
   CLOG_RETURN_IF_ERROR(
       GatherPsnLists(full_pages_per_node, /*full_history=*/true, &lists));
 
-  // Dependency-parallel redo (recovery/redo_scheduler.h): pages whose only
-  // contributor is this node need no Section 2.3.4 bouncing — their whole
-  // history is in the local log. With redo workers configured they skip
-  // the per-page RecoverPage rounds: one raw scan routes their frames into
-  // page-disjoint transaction chains, replayed by the worker pool (real
-  // mode) or in deterministic chain order (simulation). Everything else —
-  // multi-node histories, poisoned-density pages — keeps the bouncing path.
-  if (node_->options_.logging_policy.redo_workers > 0 && !work.empty()) {
-    std::vector<WorkItem> bounced;
-    std::vector<WorkItem> scheduled;
-    std::vector<RedoPageTask> tasks;
-    for (WorkItem& item : work) {
-      const auto& ls = lists[item.pid];
-      bool self_only = !item.full_history;
-      for (const auto& [n, _] : ls) {
-        if (n != me) self_only = false;
-      }
-      if (!self_only) {
-        bounced.push_back(std::move(item));
-        continue;
-      }
-      const std::vector<RecoveryRun> runs = MergePsnLists(ls);
-      if (!runs.empty() && runs[0].psn > item.base->psn()) {
-        // Same PSN-density verdict the bouncing path would reach: records
-        // exist that tile upward from above the base — a destroyed log
-        // held the gap. Fence the page durably.
-        CLOG_RETURN_IF_ERROR(node_->PoisonOwnPage(item.pid, runs[0].psn));
+  // Self-only pages — every PSN-list entry comes from our own log — need no
+  // Section 2.3.4 bouncing: the chain scheduler (recovery/redo_scheduler.h)
+  // redoes them all in one raw pass over the local log, replaying
+  // page-disjoint transaction chains on the worker pool (real mode) or in
+  // deterministic chain order on this thread. Multi-node histories,
+  // full-history rebuilds, and histories with a PSN hole (which the replay
+  // below fences) bounce between the nodes instead.
+  std::vector<RedoPageTask> tasks;
+  for (RedoWork& item : *work) {
+    const auto& ls = lists[item.pid];
+    if (item.full_history ||
+        std::any_of(ls.begin(), ls.end(),
+                    [me](const auto& entry) { return entry.first != me; })) {
+      continue;
+    }
+    const std::vector<RecoveryRun> runs = MergePsnLists(ls);
+    if (!runs.empty() && runs[0].psn > item.base->psn()) continue;
+    RedoPageTask task;
+    task.pid = item.pid;
+    task.page = item.base.get();
+    auto cur = node_->recovery_cursor_.find(item.pid);
+    task.start_lsn =
+        cur != node_->recovery_cursor_.end() ? cur->second : kNullLsn;
+    tasks.push_back(task);
+    item.scheduled = true;
+  }
+  if (!tasks.empty()) {
+    Executor* exec = node_->network_->executor();
+    RedoScheduler scheduler(
+        &node_->log_, &node_->recovery_skip_txns_,
+        node_->options_.logging_policy->redo_workers,
+        /*use_threads=*/exec != nullptr && exec->real_threads());
+    RedoScheduleStats rstats;
+    CLOG_RETURN_IF_ERROR(scheduler.Run(&tasks, &rstats));
+    stats_.redo_chains += rstats.chains;
+    stats_.parallel_pages += tasks.size();
+    stats_.parallel_applied += rstats.applied;
+    stats_.redo_applied += rstats.applied;
+    node_->metrics_.GetCounter("recovery.parallel_chains").Add(rstats.chains);
+    node_->metrics_.GetCounter("recovery.redo_applied").Add(rstats.applied);
+  }
+
+  // Land every page in PageId order, whichever engine redid it.
+  for (RedoWork& item : *work) {
+    if (item.scheduled) {
+      // The scheduler bypassed HandleRecoverPage, whose final round would
+      // have dropped the conversation's per-page scan state.
+      node_->recovery_cursor_.erase(item.pid);
+      node_->recovery_applied_.erase(item.pid);
+    } else {
+      Node::PsnReplay replay;
+      CLOG_RETURN_IF_ERROR(node_->ReplayPsnRuns(item.pid, lists[item.pid],
+                                                item.base.get(), &replay));
+      stats_.redo_rounds += replay.rounds;
+      stats_.redo_applied += replay.applied;
+      if (replay.poisoned) {
         ++stats_.pages_poisoned;
         continue;
       }
-      RedoPageTask task;
-      task.pid = item.pid;
-      task.page = item.base.get();
-      auto cur = node_->recovery_cursor_.find(item.pid);
-      task.start_lsn =
-          cur != node_->recovery_cursor_.end() ? cur->second : kNullLsn;
-      tasks.push_back(std::move(task));
-      scheduled.push_back(std::move(item));
     }
-
-    if (!tasks.empty()) {
-      Executor* exec = node_->network_->executor();
-      RedoScheduler scheduler(
-          &node_->log_, &node_->recovery_skip_txns_,
-          node_->options_.logging_policy.redo_workers,
-          /*use_threads=*/exec != nullptr && exec->real_threads());
-      RedoScheduleStats rstats;
-      CLOG_RETURN_IF_ERROR(scheduler.Run(&tasks, &rstats));
-      stats_.redo_chains += rstats.chains;
-      stats_.parallel_pages += tasks.size();
-      stats_.parallel_applied += rstats.applied;
-      stats_.redo_applied += rstats.applied;
-      node_->metrics_.GetCounter("recovery.parallel_chains")
-          .Add(rstats.chains);
-      node_->metrics_.GetCounter("recovery.redo_applied")
-          .Add(rstats.applied);
-
-      // Install + force each redone page, with the same closing
-      // bookkeeping a self redo round would have done.
-      for (std::size_t i = 0; i < tasks.size(); ++i) {
-        WorkItem& item = scheduled[i];
-        node_->recovery_cursor_.erase(item.pid);
-        node_->recovery_applied_.erase(item.pid);
-        Page* frame = node_->pool_.Lookup(item.pid);
-        if (frame == nullptr) {
-          CLOG_ASSIGN_OR_RETURN(frame, node_->pool_.Insert(item.pid));
-        }
-        frame->CopyFrom(*item.base);
-        node_->pool_.MarkDirty(item.pid);
-        CLOG_RETURN_IF_ERROR(node_->ForceOwnPage(item.pid));
-        const Psn needed = node_->poison_.NeededPsn(item.pid);
-        if (needed != 0 && needed != kPsnUnrecoverable &&
-            item.base->psn() >= needed) {
-          CLOG_RETURN_IF_ERROR(node_->UnpoisonPage(item.pid));
-          node_->metrics_.GetCounter("media.pages_unpoisoned").Add(1);
-        }
-        ++stats_.own_pages_recovered;
-        node_->metrics_.GetCounter("recovery.pages_recovered").Add(1);
-      }
-    }
-    work = std::move(bounced);
-  }
-
-  for (WorkItem& item : work) {
     CLOG_RETURN_IF_ERROR(
-        CoordinatePageRecovery(item.pid, item.base.get(), lists[item.pid]));
-  }
-
-  // Ledger hygiene: any restore-ledger entry without a live plan was
-  // handled eagerly above (rescued from a peer cache, readable after all,
-  // rebuilt, or poisoned) — durably forget it so later restarts stop
-  // re-probing it.
-  for (std::uint64_t packed : node_->restore_.LedgerEntries()) {
-    const PageId pid = PageId::Unpack(packed);
-    if (!node_->restore_.IsRestoring(pid)) {
-      CLOG_RETURN_IF_ERROR(node_->restore_.Forget(pid));
-    }
-  }
-  if (deferred != 0) {
-    node_->metrics_.GetCounter("restore.pages_planned").Add(deferred);
-    if (node_->trace_ != nullptr) {
-      node_->trace_->Emit(me, TraceEventType::kRestorePlan, deferred,
-                          deferred_with_peer);
-    }
+        node_->LandRebuiltPage(item.pid, *item.base, lists[item.pid]));
+    ++stats_.own_pages_recovered;
   }
   return Status::OK();
 }
@@ -598,15 +497,7 @@ Status RestartRecovery::RecoverOwnPagesAfterLogLoss(
     bool fetched = false;
     auto cit = cached_at.find(pid);
     if (cit != cached_at.end()) {
-      for (NodeId holder : cit->second) {
-        std::shared_ptr<Page> copy;
-        Status st = node_->network_->FetchCachedPage(me, holder, pid, &copy);
-        if (st.ok() && copy) {
-          CLOG_RETURN_IF_ERROR(node_->InstallShippedCopy(*copy, holder));
-          fetched = true;
-          break;
-        }
-      }
+      CLOG_ASSIGN_OR_RETURN(fetched, FetchCachedCopy(pid, cit->second));
     }
     if (fetched) {
       if (node_->pool_.IsDirty(pid)) {
@@ -688,8 +579,10 @@ Status RestartRecovery::RecoverRemotePages() {
     CLOG_RETURN_IF_ERROR(
         node_->HandleBuildPsnList(me, {pid}, /*full_history=*/false, &plist));
     RecoverPageReply rreply;
-    CLOG_RETURN_IF_ERROR(
-        RedoRound(me, pid, base, /*has_bound=*/false, 0, &rreply));
+    ++stats_.redo_rounds;
+    CLOG_RETURN_IF_ERROR(node_->HandleRecoverPage(me, pid, base,
+                                                  /*has_bound=*/false, 0,
+                                                  &rreply));
     stats_.redo_applied += rreply.applied;
     Page* frame = node_->pool_.Lookup(pid);
     if (frame == nullptr) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -51,7 +52,7 @@ class RestartRecovery {
     std::uint64_t losers_undone = 0;
     std::uint64_t clean_candidates = 0;    ///< Candidates already on disk.
     std::uint64_t sim_ns = 0;              ///< Simulated time consumed.
-    // --- Adaptive logging / dependency-parallel redo ---
+    // --- Adaptive logging / chain-scheduled redo ---
     std::uint64_t logical_losers_skipped = 0;  ///< Pure-logical: END only.
     std::uint64_t redo_chains = 0;         ///< Independent chains scheduled.
     std::uint64_t parallel_pages = 0;      ///< Pages redone by the scheduler.
@@ -108,8 +109,38 @@ class RestartRecovery {
   /// and takes exclusive locks for unprotected DPT pages (2.3.3).
   Status ReconstructLocks();
 
-  /// Determines and recovers pages owned by this node (2.3.1-2.3.4).
+  /// One own page that needs redo: its base image (disk, archive, or PSN
+  /// seed) and the nodes whose logs hold its missing history.
+  struct RedoWork {
+    PageId pid;
+    std::unique_ptr<Page> base;
+    std::vector<NodeId> involved;  ///< DPT contributors past the disk PSN.
+    bool full_history = false;     ///< Rebuilding a lost page from its base.
+    bool scheduled = false;        ///< Redone by the chain scheduler.
+  };
+
+  /// Determines and recovers pages owned by this node (2.3.1-2.3.4):
+  /// collects the candidates, then plans and executes their redo.
   Status RecoverOwnPages();
+
+  /// Plan step: probes for pages a lost data device took, then sorts every
+  /// candidate in PageId order. Clean pages drop their DPT entries, fenced
+  /// pages stay fenced, media-lost pages defer to instant restore when it
+  /// is on, pages a peer still caches are fetched from it, and the rest
+  /// become `work`, each with its base image read.
+  Status PlanOwnPages(
+      std::map<PageId, std::map<NodeId, DptEntry>>* contributors,
+      const std::map<PageId, std::vector<NodeId>>& cached_at,
+      std::vector<RedoWork>* work, std::uint64_t* deferred_with_peer);
+
+  /// Execute step: gathers the PSN lists, redoes self-only pages with the
+  /// chain scheduler, bounces the rest between the involved nodes
+  /// (2.3.4), and lands every page in PageId order.
+  Status RedoOwnPages(std::vector<RedoWork>* work);
+
+  /// Installs the first copy of `pid` any of `holders` still caches;
+  /// false when none does.
+  Result<bool> FetchCachedCopy(PageId pid, const std::vector<NodeId>& holders);
 
   /// Recovers remotely owned pages this node held exclusively (2.3.1 (b)).
   Status RecoverRemotePages();
@@ -126,16 +157,6 @@ class RestartRecovery {
   /// lost log may have held the top of their history.
   Status RecoverOwnPagesAfterLogLoss(
       const std::map<PageId, std::vector<NodeId>>& cached_at);
-
-  /// Bounces `pid` between the involved nodes in ascending PSN order
-  /// (2.3.4 steps 1-4); `base` is consumed and the final image returned
-  /// into the node's pool.
-  Status CoordinatePageRecovery(PageId pid, Page* base,
-                                const std::map<NodeId, std::vector<PsnListEntry>>& lists);
-
-  /// Issues one redo round to `target` (self targets bypass the network).
-  Status RedoRound(NodeId target, PageId pid, const Page& in, bool has_bound,
-                   Psn bound, RecoverPageReply* reply);
 
   /// Batch-builds NodePSNLists: one request per involved node covering all
   /// its pages (2.3.4). `full_history` asks peers to scan their whole log

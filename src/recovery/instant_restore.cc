@@ -3,13 +3,12 @@
 #include <algorithm>
 
 #include "node/node.h"
-#include "recovery/node_psn_list.h"
-#include "storage/slotted_page.h"
 #include "trace/trace_sink.h"
 
 /// \file
-/// On-demand page rebuild. RestoreOne is the per-page mirror of eager
-/// recovery's CoordinatePageRecovery, with one extra invariant it leans on
+/// On-demand page rebuild. RestoreOne runs the same PSN-run replay and
+/// landing as eager restart recovery (Node::ReplayPsnRuns and
+/// Node::LandRebuiltPage), with one extra invariant it leans on
 /// throughout: the lost data device was recreated *empty*, so during a
 /// restore epoch any checksum-valid image readable from it was written
 /// after the crash — by a shipped peer copy, an eviction, or an earlier
@@ -195,19 +194,7 @@ Status InstantRestoreManager::RestoreOne(Node* node, PageId pid) {
   //    the merged full-history redo schedule across every planned source's
   //    client log — the per-page core of eager media recovery.
   Page base;
-  bool from_archive = false;
-  if (node->archive_.is_open()) {
-    Status ar = node->archive_.Restore(pid.page_no, &base);
-    if (ar.ok() && base.psn() >= node->space_map_.PsnSeed(pid.page_no)) {
-      from_archive = true;
-      node->metrics_.GetCounter("media.archive_restores").Add(1);
-    }
-  }
-  if (!from_archive) {
-    base.Format(pid, PageType::kData, node->space_map_.PsnSeed(pid.page_no));
-    SlottedPage(&base).InitBody();
-    node->metrics_.GetCounter("recovery.pages_rebuilt_from_seed").Add(1);
-  }
+  const bool from_archive = node->LostPageBase(pid, &base);
 
   // Fresh full-history PSN lists at touch time. BuildPsnList starts a new
   // conversation (it clears stale resume cursors), so a rebuild interrupted
@@ -239,44 +226,19 @@ Status InstantRestoreManager::RestoreOne(Node* node, PageId pid) {
     }
   }
 
-  const std::vector<RecoveryRun> runs = MergePsnLists(lists);
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    // Runs wholly below the base image are already-reflected history.
-    if (i + 1 < runs.size() && runs[i + 1].psn <= base.psn()) continue;
-    if (runs[i].psn > base.psn()) {
-      // PSN density: a run starting above the page's current PSN proves
-      // records existed that no surviving log holds. Fence durably; the
-      // needed PSN lets a later rebuild that does reach it lift the fence.
-      CLOG_RETURN_IF_ERROR(node->PoisonOwnPage(pid, runs[i].psn));
-      node->metrics_.GetCounter("restore.pages_poisoned").Add(1);
-      return Finish(node, pid, base.psn(), RestoreSource::kPoisoned, t0);
-    }
-    const bool has_bound = i + 1 < runs.size();
-    const Psn bound = has_bound ? runs[i + 1].psn - 1 : 0;
-    RecoverPageReply reply;
-    Status st;
-    if (runs[i].node == node->id_) {
-      st = node->HandleRecoverPage(node->id_, pid, base, has_bound, bound,
-                                   &reply);
-    } else {
-      st = node->network_->RecoverPage(node->id_, runs[i].node, pid, base,
-                                       has_bound, bound, &reply);
-    }
-    if (st.IsNodeDown() || st.IsUnavailable()) {
-      node->metrics_.GetCounter("restore.blocked_on_peer").Add(1);
-      return Status::Unavailable("restore of " + pid.ToString() +
-                                 " blocked: redo source " +
-                                 std::to_string(runs[i].node) +
-                                 " unreachable");
-    }
-    CLOG_RETURN_IF_ERROR(st);
-    if (reply.page) base.CopyFrom(*reply.page);
+  Node::PsnReplay replay;
+  Status st = node->ReplayPsnRuns(pid, lists, &base, &replay);
+  if (st.IsNodeDown() || st.IsUnavailable()) {
+    node->metrics_.GetCounter("restore.blocked_on_peer").Add(1);
+    return Status::Unavailable("restore of " + pid.ToString() +
+                               " blocked: " + st.ToString());
+  }
+  CLOG_RETURN_IF_ERROR(st);
+  if (replay.poisoned) {
+    node->metrics_.GetCounter("restore.pages_poisoned").Add(1);
+    return Finish(node, pid, base.psn(), RestoreSource::kPoisoned, t0);
   }
 
-  // Land the rebuilt image and force it durable, exactly as eager
-  // CoordinatePageRecovery does: every contributor clears its DPT entry
-  // via the flush notification.
-  //
   // Landing is PSN-monotonic. Two rebuild conversations for the same page
   // can interleave at re-entrant wait points (a background sweeper and a
   // first-touch rebuild): the per-page recovery cursors on the redo
@@ -285,7 +247,7 @@ Status InstantRestoreManager::RestoreOne(Node* node, PageId pid) {
   // bare base image. A rebuilt image therefore never replaces a newer
   // pool or durable version — the interleaved duplicate becomes wasted
   // work instead of a silent rollback of committed history.
-  Page* frame = node->pool_.Lookup(pid);
+  const Page* frame = node->pool_.Lookup(pid);
   if (frame != nullptr && frame->psn() >= base.psn()) {
     CLOG_RETURN_IF_ERROR(lift_poison());
     return Finish(node, pid, frame->psn(), RestoreSource::kAlreadyDurable, t0);
@@ -299,25 +261,14 @@ Status InstantRestoreManager::RestoreOne(Node* node, PageId pid) {
       return Finish(node, pid, durable.psn(), RestoreSource::kAlreadyDurable,
                     t0);
     }
-    CLOG_ASSIGN_OR_RETURN(frame, node->pool_.Insert(pid));
   }
-  frame->CopyFrom(base);
-  node->pool_.MarkDirty(pid);
-  for (const auto& [peer, list] : lists) {
-    (void)list;
-    if (peer != node->id_) node->replacers_[pid].insert(peer);
-  }
-  CLOG_RETURN_IF_ERROR(node->ForceOwnPage(pid));
-  const Psn needed = node->poison_.NeededPsn(pid);
-  if (needed != 0 && needed != kPsnUnrecoverable && base.psn() >= needed) {
-    CLOG_RETURN_IF_ERROR(node->UnpoisonPage(pid));
-    node->metrics_.GetCounter("media.pages_unpoisoned").Add(1);
-  }
+  // Land and force exactly as restart recovery does: every contributor
+  // clears its DPT entry via the flush notification.
+  CLOG_RETURN_IF_ERROR(node->LandRebuiltPage(pid, base, lists));
   node->metrics_
       .GetCounter(from_archive ? "restore.pages_from_archive"
                                : "restore.pages_from_seed")
       .Add(1);
-  node->metrics_.GetCounter("recovery.pages_recovered").Add(1);
   return Finish(node, pid, base.psn(),
                 from_archive ? RestoreSource::kArchiveRedo
                              : RestoreSource::kSeedRedo,

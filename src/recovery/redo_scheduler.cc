@@ -2,38 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <map>
 #include <numeric>
 #include <thread>
 
 #include "common/crc32c.h"
-#include "storage/slotted_page.h"
 #include "wal/log_record.h"
 
 namespace clog {
 
 namespace {
-
-/// Little-endian u64 at `p` — matches the update-record header layout
-/// (wal/log_record.cc): type u8 | txn u64 | prev u64 | page u64 |
-/// psn_before u64 | op u8 | slot u16.
-inline std::uint64_t LoadU64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-constexpr std::size_t kUpdateHeaderSize = 36;
-constexpr std::size_t kTxnOffset = 1;
-constexpr std::size_t kPageOffset = 17;
-
-inline bool IsUpdateType(std::uint8_t t) {
-  return t == static_cast<std::uint8_t>(LogRecordType::kUpdate) ||
-         t == static_cast<std::uint8_t>(LogRecordType::kClr) ||
-         t == static_cast<std::uint8_t>(LogRecordType::kLogicalUpdate);
-}
 
 /// Union-find over chain vertices: tasks (pages) first, transactions
 /// appended lazily behind them.
@@ -67,29 +45,6 @@ struct RoutedFrame {
   std::string body;
 };
 
-/// Same redo semantics as Node::ApplyRedo, free of Node so workers can run
-/// it off the node's thread (pure page-bytes mutation).
-Status ApplyFrame(const LogRecord& rec, Page* page) {
-  SlottedPage sp(page);
-  switch (rec.op) {
-    case RecordOp::kInsert:
-      CLOG_RETURN_IF_ERROR(sp.InsertAt(rec.slot, rec.redo_image));
-      break;
-    case RecordOp::kUpdate:
-      CLOG_RETURN_IF_ERROR(sp.Update(rec.slot, rec.redo_image));
-      break;
-    case RecordOp::kDelete:
-      CLOG_RETURN_IF_ERROR(sp.Delete(rec.slot));
-      break;
-    case RecordOp::kFormat:
-      page->Format(rec.page, PageType::kData, rec.psn_before);
-      sp.InitBody();
-      break;
-  }
-  page->BumpPsn();
-  return Status::OK();
-}
-
 /// Replays one chain: CRC check, decode, apply-when-PSN-matches, in LSN
 /// order. Tasks are page-disjoint across chains, so no synchronization.
 Status ReplayChain(const std::vector<RoutedFrame*>& frames,
@@ -103,12 +58,12 @@ Status ReplayChain(const std::vector<RoutedFrame*>& frames,
     CLOG_RETURN_IF_ERROR(LogRecord::DecodeFrom(f->body, &rec));
     RedoPageTask& task = (*tasks)[f->task];
     if (rec.psn_before == task.page->psn()) {
-      CLOG_RETURN_IF_ERROR(ApplyFrame(rec, task.page));
+      CLOG_RETURN_IF_ERROR(ApplyRedo(rec, task.page));
       ++task.applied;
     }
     // Below the page's PSN: already reflected in the base image. Above it
     // cannot occur — self-only pages have no other contributor to fill
-    // the gap, and a gapped history was poisoned before scheduling.
+    // the gap, and a gapped history is fenced, never scheduled.
   }
   return Status::OK();
 }
@@ -145,35 +100,23 @@ Status RedoScheduler::Run(std::vector<RedoPageTask>* tasks,
     RoutedFrame f;
     Lsn next = kNullLsn;
     CLOG_RETURN_IF_ERROR(log_->ReadRawFrame(lsn, &f.body, &f.crc, &next));
-    if (f.body.empty()) {
-      return Status::Corruption("empty log frame at lsn " +
-                                std::to_string(lsn));
-    }
-    const std::uint8_t type8 = static_cast<std::uint8_t>(f.body[0]);
-    if (IsUpdateType(type8)) {
-      if (f.body.size() < kUpdateHeaderSize) {
-        return Status::Corruption("short update frame at lsn " +
-                                  std::to_string(lsn));
-      }
-      const PageId pid =
-          PageId::Unpack(LoadU64(f.body.data() + kPageOffset));
-      const TxnId txn = LoadU64(f.body.data() + kTxnOffset);
-      auto it = task_of_page.find(pid);
+    LogRecord hdr;
+    CLOG_RETURN_IF_ERROR(LogRecord::DecodeHeaderFrom(f.body, &hdr));
+    if (hdr.IsPageUpdate()) {
+      auto it = task_of_page.find(hdr.page);
       if (it != task_of_page.end() &&
           (*tasks)[it->second].start_lsn != kNullLsn &&
           lsn >= (*tasks)[it->second].start_lsn) {
-        const bool skip =
-            type8 ==
-                static_cast<std::uint8_t>(LogRecordType::kLogicalUpdate) &&
-            skip_txns_->count(txn) != 0;
+        const bool skip = hdr.type == LogRecordType::kLogicalUpdate &&
+                          skip_txns_->count(hdr.txn) != 0;
         if (!skip) {
-          dsu.Union(it->second, vertex_of(txn));
+          dsu.Union(it->second, vertex_of(hdr.txn));
           f.lsn = lsn;
           f.task = it->second;
           routed.push_back(std::move(f));
         }
       }
-    } else if (type8 == static_cast<std::uint8_t>(LogRecordType::kCommit)) {
+    } else if (hdr.type == LogRecordType::kCommit) {
       // Dependency edges ride on adaptive commit records: the committing
       // transaction follows its predecessors, so their chains must not
       // split. (Cheap decode: commit bodies are a few dozen bytes.)

@@ -11,19 +11,19 @@
 #include "wal/log_manager.h"
 
 /// \file
-/// Dependency-parallel redo (docs/RECOVERY_WALKTHROUGH.md "Parallel
-/// redo"). Restart redo of pages whose entire history lives in the local
-/// log needs no Section 2.3.4 cross-node bouncing — but the legacy path
-/// still replays them one page at a time, rescanning the log per page.
-/// The scheduler instead makes ONE raw pass over the log, routes each
-/// update frame (undecoded — a 36-byte header peek) to its page, and
-/// partitions the work into independent chains: the connected components
-/// of the bipartite transaction/page graph, with commit-dependency edges
-/// (CommitDep entries on adaptive commit records) merged in. Chains touch
-/// disjoint page sets by construction, so workers replay them with no
-/// locks: each worker checksums, decodes, and applies its chains' frames
-/// onto private page images. Real-threads mode uses a worker pool; the
-/// simulation replays chains sequentially in deterministic order.
+/// Chain-scheduled redo (docs/RECOVERY_WALKTHROUGH.md "Redo of self-only
+/// pages"): the one restart-redo engine for pages whose entire history
+/// lives in the local log, which need no Section 2.3.4 cross-node
+/// bouncing. The scheduler makes ONE raw pass over the log, routes each
+/// update frame to its page by its header alone
+/// (LogRecord::DecodeHeaderFrom), and partitions the work into
+/// independent chains: the connected components of the bipartite
+/// transaction/page graph, with commit-dependency edges (CommitDep entries
+/// on adaptive commit records) merged in. Chains touch disjoint page sets
+/// by construction, so workers replay them with no locks: each checksums,
+/// decodes, and applies its chains' frames onto private page images.
+/// Real-threads mode with 2+ workers uses a worker pool; otherwise the
+/// chains replay sequentially in deterministic order.
 
 namespace clog {
 
@@ -49,7 +49,8 @@ class RedoScheduler {
   /// `skip_txns`: transactions whose logical records are redo-skipped
   /// (uncommitted, never backfilled — see docs/PROTOCOLS.md "Redo skip
   /// rule"). Not owned; must outlive Run. `workers` > 1 with
-  /// `use_threads` enables the real worker pool.
+  /// `use_threads` enables the real worker pool; otherwise the caller's
+  /// thread replays the chains in order.
   RedoScheduler(LogManager* log, const std::set<TxnId>* skip_txns,
                 std::uint32_t workers, bool use_threads)
       : log_(log),

@@ -1,5 +1,7 @@
 #include "wal/log_record.h"
 
+#include "storage/slotted_page.h"
+
 namespace clog {
 
 std::string_view LogRecordTypeName(LogRecordType t) {
@@ -52,6 +54,30 @@ inline char* StoreU64(char* p, std::uint64_t v) {
     *p++ = static_cast<char>((v >> (8 * i)) & 0xFF);
   }
   return p;
+}
+
+/// Every record starts type | txn | prev_lsn; the page-update types go on
+/// with page | psn_before | op | slot (36 bytes in all).
+Status DecodeHeader(Decoder* dec, LogRecord* out) {
+  *out = LogRecord();
+  std::uint8_t type8 = 0;
+  CLOG_RETURN_IF_ERROR(dec->GetU8(&type8));
+  if (type8 < 1 || type8 > 11) {
+    return Status::Corruption("bad log record type");
+  }
+  out->type = static_cast<LogRecordType>(type8);
+  CLOG_RETURN_IF_ERROR(dec->GetU64(&out->txn));
+  CLOG_RETURN_IF_ERROR(dec->GetU64(&out->prev_lsn));
+  if (!out->IsPageUpdate()) return Status::OK();
+  std::uint64_t packed = 0;
+  std::uint8_t op8 = 0;
+  CLOG_RETURN_IF_ERROR(dec->GetU64(&packed));
+  out->page = PageId::Unpack(packed);
+  CLOG_RETURN_IF_ERROR(dec->GetU64(&out->psn_before));
+  CLOG_RETURN_IF_ERROR(dec->GetU8(&op8));
+  if (op8 < 1 || op8 > 4) return Status::Corruption("bad record op");
+  out->op = static_cast<RecordOp>(op8);
+  return dec->GetU16(&out->slot);
 }
 
 }  // namespace
@@ -139,30 +165,18 @@ void LogRecord::EncodeTo(std::string* out) const {
   }
 }
 
-Status LogRecord::DecodeFrom(Slice body, LogRecord* out) {
-  *out = LogRecord();
+Status LogRecord::DecodeHeaderFrom(Slice body, LogRecord* out) {
   Decoder dec(body);
-  std::uint8_t type8 = 0;
-  CLOG_RETURN_IF_ERROR(dec.GetU8(&type8));
-  if (type8 < 1 || type8 > 11) {
-    return Status::Corruption("bad log record type");
-  }
-  out->type = static_cast<LogRecordType>(type8);
-  CLOG_RETURN_IF_ERROR(dec.GetU64(&out->txn));
-  CLOG_RETURN_IF_ERROR(dec.GetU64(&out->prev_lsn));
+  return DecodeHeader(&dec, out);
+}
+
+Status LogRecord::DecodeFrom(Slice body, LogRecord* out) {
+  Decoder dec(body);
+  CLOG_RETURN_IF_ERROR(DecodeHeader(&dec, out));
   switch (out->type) {
     case LogRecordType::kUpdate:
     case LogRecordType::kClr:
     case LogRecordType::kLogicalUpdate: {
-      std::uint64_t packed = 0;
-      std::uint8_t op8 = 0;
-      CLOG_RETURN_IF_ERROR(dec.GetU64(&packed));
-      out->page = PageId::Unpack(packed);
-      CLOG_RETURN_IF_ERROR(dec.GetU64(&out->psn_before));
-      CLOG_RETURN_IF_ERROR(dec.GetU8(&op8));
-      if (op8 < 1 || op8 > 4) return Status::Corruption("bad record op");
-      out->op = static_cast<RecordOp>(op8);
-      CLOG_RETURN_IF_ERROR(dec.GetU16(&out->slot));
       CLOG_RETURN_IF_ERROR(dec.GetLengthPrefixed(&out->redo_image));
       if (out->type != LogRecordType::kLogicalUpdate) {
         CLOG_RETURN_IF_ERROR(dec.GetLengthPrefixed(&out->undo_image));
@@ -225,6 +239,32 @@ Status LogRecord::DecodeFrom(Slice body, LogRecord* out) {
     default:
       break;
   }
+  return Status::OK();
+}
+
+Status ApplyRedo(const LogRecord& rec, Page* page) {
+  if (rec.psn_before != page->psn()) {
+    return Status::FailedPrecondition(
+        "psn mismatch applying " + rec.ToString() + " to page at psn " +
+        std::to_string(page->psn()));
+  }
+  SlottedPage sp(page);
+  switch (rec.op) {
+    case RecordOp::kInsert:
+      CLOG_RETURN_IF_ERROR(sp.InsertAt(rec.slot, rec.redo_image));
+      break;
+    case RecordOp::kUpdate:
+      CLOG_RETURN_IF_ERROR(sp.Update(rec.slot, rec.redo_image));
+      break;
+    case RecordOp::kDelete:
+      CLOG_RETURN_IF_ERROR(sp.Delete(rec.slot));
+      break;
+    case RecordOp::kFormat:
+      page->Format(rec.page, PageType::kData, rec.psn_before);
+      sp.InitBody();
+      break;
+  }
+  page->BumpPsn();
   return Status::OK();
 }
 

@@ -138,6 +138,12 @@ struct LogRecord {
   /// Decodes a record body produced by EncodeTo.
   static Status DecodeFrom(Slice body, LogRecord* out);
 
+  /// Decodes only the fixed header of a body produced by EncodeTo: type,
+  /// txn and prev_lsn, plus page, psn_before, op and slot for the
+  /// page-update types. Images and every other field stay at their
+  /// defaults. Lets a log pass route frames without copying their images.
+  static Status DecodeHeaderFrom(Slice body, LogRecord* out);
+
   /// Short human-readable form for traces and test failures.
   std::string ToString() const;
 
@@ -162,6 +168,13 @@ struct LogRecord {
 
 /// Name of a log record type ("UPDATE", "CLR", ...).
 std::string_view LogRecordTypeName(LogRecordType t);
+
+class Page;
+
+/// Redoes page-update record `rec` on `page`: its record operation, then
+/// one PSN bump. FailedPrecondition unless the page is at exactly the
+/// record's psn_before.
+Status ApplyRedo(const LogRecord& rec, Page* page);
 
 }  // namespace clog
 

@@ -131,6 +131,43 @@ TEST_F(ClusterTest, PageTravelsWithMultipleOutstandingUpdates) {
   ASSERT_OK(owner_->Commit(check));
 }
 
+TEST(ClusterPolicyTest, NodeWithoutPolicyInheritsTheClusterPolicy) {
+  TempDir dir;
+  ClusterOptions opts;
+  opts.dir = dir.path();
+  opts.logging_policy.WithGroupCommitWindow(2'000'000, 4).WithArchiveEvery(2);
+  Cluster cluster(opts);
+  ASSERT_OK_AND_ASSIGN(Node * node, cluster.AddNode());
+  ASSERT_TRUE(node->options().logging_policy.has_value());
+  const LoggingPolicy& policy = *node->options().logging_policy;
+  EXPECT_TRUE(policy.group_commit.enabled);
+  EXPECT_EQ(policy.group_commit.window_ns, 2'000'000u);
+  EXPECT_EQ(policy.archive.every_checkpoints, 2u);
+}
+
+TEST(ClusterPolicyTest, NodePolicyIsKeptWhateverItTunes) {
+  // A node policy that differs from the default only in the group-commit
+  // window, or only in the archive cadence, is still the node's own: it
+  // must not be swapped for the cluster policy.
+  TempDir dir;
+  ClusterOptions opts;
+  opts.dir = dir.path();
+  opts.logging_policy.WithGroupCommitWindow(2'000'000, 4);
+  Cluster cluster(opts);
+
+  NodeOptions window_only;
+  window_only.logging_policy.emplace().group_commit.window_ns = 5'000'000;
+  ASSERT_OK_AND_ASSIGN(Node * a, cluster.AddNode(window_only));
+  EXPECT_FALSE(a->options().logging_policy->group_commit.enabled);
+  EXPECT_EQ(a->options().logging_policy->group_commit.window_ns, 5'000'000u);
+
+  NodeOptions cadence_only;
+  cadence_only.logging_policy.emplace().archive.every_checkpoints = 3;
+  ASSERT_OK_AND_ASSIGN(Node * b, cluster.AddNode(cadence_only));
+  EXPECT_FALSE(b->options().logging_policy->group_commit.enabled);
+  EXPECT_EQ(b->options().logging_policy->archive.every_checkpoints, 3u);
+}
+
 TEST_F(ClusterTest, ReplacedDirtyPageShipsHomeAndFlushNotifyClearsDpt) {
   // Small client cache: dirty remote pages get replaced and shipped to the
   // owner; when the owner forces them, the flush notification clears the

@@ -180,7 +180,7 @@ class ArchiveCorruptionTest : public ::testing::Test {
   ArchiveCorruptionTest() {
     ClusterOptions opts;
     opts.dir = dir_.path();
-    opts.node_defaults.logging_policy.WithArchiveEvery(1);
+    opts.logging_policy.WithArchiveEvery(1);
     cluster_ = std::make_unique<Cluster>(opts);
     node_ = *cluster_->AddNode();
   }

@@ -268,15 +268,16 @@ TEST(ExecutionModeTest, StoppedWorkerRejectsWorkUntilRestart) {
   ASSERT_OK(cluster.Execute(n->id(), [] {}));
 }
 
-/// Adaptive recovery equivalence across engines. Every session writes only
+/// Own-page recovery equivalence across engines. Every session writes only
 /// its own pages, so the whole log is self-only histories and restart
-/// recovery takes the dependency-parallel redo path — chains replayed
-/// sequentially in simulation, by the worker pool in real mode. Both must
-/// land on the same committed state, and both must actually have scheduled
-/// chains (the stats prove the fast path ran, not the legacy bounce).
-std::map<PageId, std::vector<std::string>> RunAdaptiveRecovery(
-    const std::string& dir, ExecutionMode mode, std::uint64_t* chains,
-    std::uint64_t* parallel_pages) {
+/// recovery hands every page to the chain scheduler — chains replayed
+/// sequentially in simulation, by the worker pool in real mode when
+/// `policy` asks for one. Both must land on the same committed state, and
+/// both must actually have scheduled chains (the stats prove the scheduler
+/// ran, not the Section 2.3.4 bounce).
+std::map<PageId, std::vector<std::string>> RunOwnPageRecovery(
+    const std::string& dir, ExecutionMode mode, const LoggingPolicy& policy,
+    std::uint64_t* chains, std::uint64_t* parallel_pages) {
   constexpr int kNodes = 3;
   constexpr int kPagesPerNode = 2;
   constexpr int kTxnsPerSession = 6;
@@ -284,9 +285,7 @@ std::map<PageId, std::vector<std::string>> RunAdaptiveRecovery(
   ClusterOptions opts;
   opts.dir = dir;
   opts.execution_mode = mode;
-  opts.logging_policy = LoggingPolicy()
-                            .WithStrategy(LogStrategy::kAdaptive)
-                            .WithRedoWorkers(4);
+  opts.logging_policy = policy;
   Cluster cluster(opts);
   std::vector<std::vector<PageId>> pages(kNodes);
   for (int i = 0; i < kNodes; ++i) {
@@ -359,15 +358,17 @@ std::map<PageId, std::vector<std::string>> RunAdaptiveRecovery(
   return out;
 }
 
-TEST(ExecutionModeTest, AdaptiveParallelRedoConvergesAcrossModes) {
+/// Runs RunOwnPageRecovery under `policy` in both engines and requires the
+/// scheduler to have redone every owned page, with identical records.
+void ExpectOwnPageRecoveryConverges(const LoggingPolicy& policy) {
   TempDir sim_dir, real_dir;
   std::uint64_t sim_chains = 0, sim_pages = 0;
   std::uint64_t real_chains = 0, real_pages = 0;
-  auto sim = RunAdaptiveRecovery(sim_dir.path(), ExecutionMode::kSimulation,
-                                 &sim_chains, &sim_pages);
-  auto real = RunAdaptiveRecovery(real_dir.path(),
-                                  ExecutionMode::kRealThreads, &real_chains,
-                                  &real_pages);
+  auto sim = RunOwnPageRecovery(sim_dir.path(), ExecutionMode::kSimulation,
+                                policy, &sim_chains, &sim_pages);
+  auto real = RunOwnPageRecovery(real_dir.path(),
+                                 ExecutionMode::kRealThreads, policy,
+                                 &real_chains, &real_pages);
 
   // The scheduler ran in both engines, over every owned page.
   EXPECT_GT(sim_chains, 0u);
@@ -386,6 +387,19 @@ TEST(ExecutionModeTest, AdaptiveParallelRedoConvergesAcrossModes) {
   }
   // Every committed insert survived recovery in both engines.
   EXPECT_EQ(total, static_cast<std::size_t>(3 * 6 * 2));
+}
+
+TEST(ExecutionModeTest, AdaptiveParallelRedoConvergesAcrossModes) {
+  ExpectOwnPageRecoveryConverges(LoggingPolicy()
+                                     .WithStrategy(LogStrategy::kAdaptive)
+                                     .WithRedoWorkers(4));
+}
+
+/// The default policy (physical records, no redo pool) takes the same
+/// scheduler: it is the only engine for self-only pages, replaying chains
+/// on the node's own thread in both modes.
+TEST(ExecutionModeTest, DefaultPolicyRedoConvergesAcrossModes) {
+  ExpectOwnPageRecoveryConverges(LoggingPolicy());
 }
 
 }  // namespace

@@ -32,7 +32,7 @@ class InstantRestoreTest : public ::testing::TestWithParam<ExecutionMode> {
     opts.dir = dir_.path();
     opts.execution_mode = GetParam();
     opts.fault_injector = &injector_;
-    opts.node_defaults.logging_policy.WithArchiveEvery(1);
+    opts.logging_policy.WithArchiveEvery(1);
     opts.node_defaults.instant_restore.enabled = true;
     cluster_ = std::make_unique<Cluster>(opts);
     a_ = *cluster_->AddNode();

@@ -29,7 +29,7 @@ class MediaRecoveryTest : public ::testing::Test {
     ClusterOptions opts;
     opts.dir = dir_.path();
     opts.fault_injector = &injector_;
-    opts.node_defaults.logging_policy.WithArchiveEvery(1);
+    opts.logging_policy.WithArchiveEvery(1);
     cluster_ = std::make_unique<Cluster>(opts);
     a_ = *cluster_->AddNode();
     b_ = *cluster_->AddNode();

@@ -141,7 +141,7 @@ TEST_F(ToolsTest, PagedumpVerifyAcceptsArchiveFiles) {
   {
     ClusterOptions opts;
     opts.dir = adir.path();
-    opts.node_defaults.logging_policy.WithArchiveEvery(1);
+    opts.logging_policy.WithArchiveEvery(1);
     Cluster archived(opts);
     Node* n = *archived.AddNode();
     PageId pid = *n->AllocatePage();

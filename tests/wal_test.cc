@@ -105,6 +105,52 @@ TEST(LogRecordTest, GarbageIsCorruption) {
   EXPECT_TRUE(LogRecord::DecodeFrom(Slice("", 0), &out).IsCorruption());
 }
 
+TEST(LogRecordTest, HeaderDecodeMatchesEncodeForPageUpdates) {
+  // The redo scheduler routes frames by their header alone; the header
+  // decode must agree with EncodeTo for every page-update type and leave
+  // the images undecoded.
+  for (LogRecordType type : {LogRecordType::kUpdate, LogRecordType::kClr,
+                             LogRecordType::kLogicalUpdate}) {
+    LogRecord rec = MakeUpdate(MakeTxnId(3, 11), PageId{1, 6}, 77, 4096,
+                               "after", "before");
+    rec.type = type;
+    rec.op = RecordOp::kInsert;
+    rec.slot = 513;
+    if (type == LogRecordType::kClr) rec.undo_next_lsn = 2048;
+    std::string body;
+    rec.EncodeTo(&body);
+    LogRecord hdr;
+    ASSERT_OK(LogRecord::DecodeHeaderFrom(body, &hdr));
+    EXPECT_EQ(hdr.type, type);
+    EXPECT_EQ(hdr.txn, rec.txn);
+    EXPECT_EQ(hdr.prev_lsn, 4096u);
+    EXPECT_EQ(hdr.page, (PageId{1, 6}));
+    EXPECT_EQ(hdr.psn_before, 77u);
+    EXPECT_EQ(hdr.op, RecordOp::kInsert);
+    EXPECT_EQ(hdr.slot, 513);
+    EXPECT_TRUE(hdr.redo_image.empty());
+    EXPECT_TRUE(hdr.undo_image.empty());
+    EXPECT_EQ(hdr.undo_next_lsn, kNullLsn);
+    // A body cut inside the header is Corruption, never a guess.
+    EXPECT_TRUE(LogRecord::DecodeHeaderFrom(Slice(body.data(), 30), &hdr)
+                    .IsCorruption());
+  }
+  LogRecord commit;
+  commit.type = LogRecordType::kCommit;
+  commit.txn = MakeTxnId(2, 5);
+  commit.prev_lsn = 64;
+  commit.commit_deps = {CommitDep{MakeTxnId(2, 4), 32}};
+  std::string body;
+  commit.EncodeTo(&body);
+  LogRecord hdr;
+  ASSERT_OK(LogRecord::DecodeHeaderFrom(body, &hdr));
+  EXPECT_EQ(hdr.type, LogRecordType::kCommit);
+  EXPECT_EQ(hdr.txn, commit.txn);
+  EXPECT_EQ(hdr.prev_lsn, 64u);
+  EXPECT_FALSE(hdr.IsPageUpdate());
+  EXPECT_TRUE(hdr.commit_deps.empty());
+}
+
 class LogManagerTest : public ::testing::Test {
  protected:
   TempDir dir_;
