@@ -121,7 +121,7 @@ class InstantRestoreManager {
 
   /// Records `plan` durably (ledger first, then the in-memory plan): a
   /// crash after Plan() re-probes the page, a crash before it re-detects
-  /// the loss by extent. Called by recovery's RecoverOwnPages.
+  /// the loss by extent. Called by restart recovery's PlanOwnPages.
   Status Add(Plan plan);
 
   /// Durably forgets a ledger entry without a rebuild — the eager path
