@@ -68,22 +68,6 @@ class OwnershipDirectory {
     ++epoch_;
   }
 
-  /// Every page whose current owner is not its home node.
-  std::vector<std::pair<PageId, NodeId>> Moved() const {
-    std::lock_guard<std::mutex> g(mu_);
-    std::vector<std::pair<PageId, NodeId>> out;
-    out.reserve(moved_.size());
-    for (const auto& [packed, node] : moved_) {
-      out.emplace_back(PageId::Unpack(packed), node);
-    }
-    return out;
-  }
-
-  std::size_t MovedCount() const {
-    std::lock_guard<std::mutex> g(mu_);
-    return moved_.size();
-  }
-
  private:
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, NodeId> moved_;

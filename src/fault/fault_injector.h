@@ -165,7 +165,6 @@ class FaultInjector {
   /// Nodes on which a one-shot I/O fault has fired since the last call;
   /// clears the set. The harness crashes these (fail-stop on I/O error).
   std::vector<NodeId> TakeFiredNodes();
-  bool HasFiredNodes() const { return !fired_nodes_.empty(); }
 
   // --- Counters (observability / reports) -------------------------------
 

@@ -151,6 +151,8 @@ class TortureRun {
           cluster_->SumCounter("restore.pages_from_seed");
       report_.restore_already_durable =
           cluster_->SumCounter("restore.pages_already_durable");
+      report_.remote_pages_recovered =
+          cluster_->SumCounter("recovery.remote_pages_recovered");
     }
   }
 

@@ -142,6 +142,8 @@ struct TortureReport {
   std::uint64_t restore_from_archive = 0;///< Rebuilt from archive + redo.
   std::uint64_t restore_from_seed = 0;   ///< Rebuilt from seed + full redo.
   std::uint64_t restore_already_durable = 0;  ///< Durable again before touch.
+  /// Remote pages restarts redid from their own logs (summed across nodes).
+  std::uint64_t remote_pages_recovered = 0;
   // Elastic-membership counters (elastic mode):
   std::uint64_t handoffs = 0;         ///< Page handoffs that completed.
   std::uint64_t handoff_crashes = 0;  ///< Crashes at a handoff phase boundary.

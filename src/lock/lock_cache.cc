@@ -109,15 +109,6 @@ LockMode LockCache::TxnMode(TxnId txn, PageId pid) const {
                                       : tit->second.page_mode;
 }
 
-LockMode LockCache::TxnRecordMode(TxnId txn, PageId pid, SlotId slot) const {
-  auto it = cache_.find(pid);
-  if (it == cache_.end()) return LockMode::kNone;
-  auto tit = it->second.txns.find(txn);
-  if (tit == it->second.txns.end()) return LockMode::kNone;
-  auto rit = tit->second.records.find(slot);
-  return rit == tit->second.records.end() ? LockMode::kNone : rit->second;
-}
-
 void LockCache::ReleaseTxnLocks(TxnId txn) {
   for (auto it = cache_.begin(); it != cache_.end();) {
     it->second.txns.erase(txn);

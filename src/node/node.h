@@ -279,6 +279,14 @@ class Node : public NodeService {
                             HandoffQueryReply* reply) override;
   PeerHealth HandlePing() override;
 
+  /// HandleBuildPsnList with a mode per page: one scan of the local log
+  /// serves partial pages (records from the DPT RedoLSN on) and
+  /// full-history pages (every record) together. `full_history[i]` is the
+  /// mode of `pages[i]`.
+  Status BuildPsnLists(const std::vector<PageId>& pages,
+                       const std::vector<bool>& full_history,
+                       PsnListReply* reply);
+
   // ---------------------------------------------------------------------
   // Introspection (tests, benchmarks, recovery)
   // ---------------------------------------------------------------------
@@ -293,6 +301,14 @@ class Node : public NodeService {
   Metrics& metrics() { return metrics_; }
   Network* network() { return network_; }
   TraceSink* trace() { return trace_; }
+  /// Section 2.3.4 conversation state: where the next RecoverPage round
+  /// resumes per page, and the adaptive-logging redo skip set.
+  const std::map<PageId, Lsn>& recovery_cursors() const {
+    return recovery_cursor_;
+  }
+  const std::set<TxnId>& recovery_skip_txns() const {
+    return recovery_skip_txns_;
+  }
 
   /// PSN of the disk version of an owned page (recovery comparisons).
   Result<Psn> DiskPsn(PageId pid);
@@ -669,7 +685,7 @@ class Node : public NodeService {
   /// kLogicalUpdate records are excluded from redo and PSN lists — they
   /// logged logical records but have neither a kCommit nor a kUndoBackfill
   /// in the log, so their records are a provably-volatile PSN tail.
-  /// Computed by HandleBuildPsnList, consulted by HandleRecoverPage.
+  /// Computed by BuildPsnLists, consulted by HandleRecoverPage.
   std::set<TxnId> recovery_skip_txns_;
 
   /// Multi-crash staging (Section 2.4): DPT entries / cached-page lists

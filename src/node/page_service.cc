@@ -398,16 +398,24 @@ Status Node::HandleFetchCachedPage(NodeId from, PageId pid,
 
 Status Node::HandleBuildPsnList(NodeId from, const std::vector<PageId>& pages,
                                 bool full_history, PsnListReply* reply) {
+  return BuildPsnLists(pages, std::vector<bool>(pages.size(), full_history),
+                       reply);
+}
+
+Status Node::BuildPsnLists(const std::vector<PageId>& pages,
+                           const std::vector<bool>& full_history,
+                           PsnListReply* reply) {
   *reply = PsnListReply();
   reply->per_page.resize(pages.size());
   if (state_ == NodeState::kDown) return Status::NodeDown("peer down");
   if (!options_.has_local_log) return Status::OK();
 
-  // Scan from the minimum RedoLSN among our DPT entries for the requested
-  // pages (Section 2.3.4); without an entry we have nothing to redo. In
-  // full-history mode (a torn on-disk page is being rebuilt from its
-  // space-map PSN seed) the DPT is no guide — updates already flushed and
-  // acknowledged must be replayed again — so the whole log is scanned.
+  // Scan once, from the minimum start among the requested pages (Section
+  // 2.3.4). A partial page starts at its DPT RedoLSN; without an entry we
+  // have nothing to redo for it. A full-history page (a torn or lost
+  // on-disk page being rebuilt from an archive image or its space-map PSN
+  // seed) starts at the log's first record — the DPT is no guide, since
+  // updates already flushed and acknowledged must be replayed again.
   std::map<PageId, std::size_t> index;
   for (std::size_t i = 0; i < pages.size(); ++i) index[pages[i]] = i;
 
@@ -423,14 +431,14 @@ Status Node::HandleBuildPsnList(NodeId from, const std::vector<PageId>& pages,
     recovery_applied_.erase(pid);
   }
   Lsn start = kNullLsn;
-  if (full_history) {
-    start = LogManager::first_lsn();
-  } else {
-    for (std::size_t i = 0; i < pages.size(); ++i) {
+  for (std::size_t i = 0; i < pages.size(); ++i) {
+    Lsn page_start = LogManager::first_lsn();
+    if (!full_history[i]) {
       const DirtyPageInfo* info = dpt_.Find(pages[i]);
       if (info == nullptr) continue;
-      if (start == kNullLsn || info->redo_lsn < start) start = info->redo_lsn;
+      page_start = info->redo_lsn;
     }
+    if (start == kNullLsn || page_start < start) start = page_start;
   }
   if (start == kNullLsn) return Status::OK();
 
@@ -460,31 +468,21 @@ Status Node::HandleBuildPsnList(NodeId from, const std::vector<PageId>& pages,
       resolved_txns.insert(rec.txn);
       continue;
     }
-    if (rec.type != LogRecordType::kUpdate &&
-        rec.type != LogRecordType::kClr &&
-        rec.type != LogRecordType::kLogicalUpdate) {
-      continue;
-    }
+    if (!rec.IsPageUpdate()) continue;
     if (rec.type == LogRecordType::kLogicalUpdate) {
       logical_txns.insert(rec.txn);
     }
     auto it = index.find(rec.page);
     if (it == index.end()) continue;
-    if (!full_history) {
+    if (!full_history[it->second]) {
       const DirtyPageInfo* info = dpt_.Find(rec.page);
       if (info == nullptr || lsn < info->redo_lsn) {
         continue;  // Before this page's redo point: already on disk.
       }
     }
-    // Remember where recovery for this page starts in our log. A
-    // full-history scan overwrites any cursor a previous partial scan
-    // left: redo must restart at the page's first record.
+    // Remember where recovery for this page starts in our log.
+    recovery_cursor_.try_emplace(rec.page, lsn);
     auto lt = last_txn.find(rec.page);
-    if (full_history && lt == last_txn.end()) {
-      recovery_cursor_[rec.page] = lsn;
-    } else {
-      recovery_cursor_.try_emplace(rec.page, lsn);
-    }
     if (lt == last_txn.end() || lt->second != rec.txn) {
       reply->per_page[it->second].push_back(PsnListEntry{rec.psn_before, lsn});
       entry_txns[it->second].push_back(rec.txn);
@@ -550,12 +548,7 @@ Status Node::HandleRecoverPage(NodeId from, PageId pid, const Page& page_in,
   Status scan_status;
   bool more = false;
   while (cursor.Next(&rec, &lsn, &scan_status)) {
-    if (rec.type != LogRecordType::kUpdate &&
-        rec.type != LogRecordType::kClr &&
-        rec.type != LogRecordType::kLogicalUpdate) {
-      continue;
-    }
-    if (rec.page != pid) continue;
+    if (!rec.IsPageUpdate() || rec.page != pid) continue;
     if (rec.type == LogRecordType::kLogicalUpdate &&
         recovery_skip_txns_.count(rec.txn) != 0) {
       // Redo skip rule: volatile-only record of a transaction that never

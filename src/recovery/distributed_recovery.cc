@@ -112,13 +112,8 @@ Status RestartRecovery::GatherPsnLists(
     std::map<PageId, std::map<NodeId, std::vector<PsnListEntry>>>* out) {
   for (const auto& [peer, pages] : pages_per_node) {
     PsnListReply reply;
-    if (peer == node_->id_) {
-      CLOG_RETURN_IF_ERROR(node_->HandleBuildPsnList(node_->id_, pages,
-                                                     full_history, &reply));
-    } else {
-      CLOG_RETURN_IF_ERROR(node_->network_->BuildPsnList(
-          node_->id_, peer, pages, full_history, &reply));
-    }
+    CLOG_RETURN_IF_ERROR(node_->network_->BuildPsnList(
+        node_->id_, peer, pages, full_history, &reply));
     for (std::size_t i = 0; i < pages.size(); ++i) {
       if (!reply.per_page[i].empty()) {
         (*out)[pages[i]][peer] = std::move(reply.per_page[i]);
@@ -388,19 +383,47 @@ Status RestartRecovery::RedoOwnPages(std::vector<RedoWork>* work) {
   // reachable node, not just DPT contributors: a node whose flushed
   // updates were acknowledged dropped its entry, yet those updates are
   // part of the history being replayed from the seed.
+  //
+  // Our own log is read once (Section 2.3(d)): the same pass serves our
+  // partial and full-history pages and the remote pages
+  // RecoverRemotePages will redo, leaving their resume cursors and the
+  // redo skip set behind.
+  std::vector<PageId> own_pages;
+  std::vector<bool> own_full;
   std::map<NodeId, std::vector<PageId>> pages_per_node;
   std::map<NodeId, std::vector<PageId>> full_pages_per_node;
   for (const RedoWork& item : *work) {
     if (item.full_history) {
-      full_pages_per_node[me].push_back(item.pid);
+      own_pages.push_back(item.pid);
+      own_full.push_back(true);
       for (const auto& [peer, _] : peer_replies_) {
         full_pages_per_node[peer].push_back(item.pid);
       }
       continue;
     }
-    for (NodeId n : item.involved) pages_per_node[n].push_back(item.pid);
+    for (NodeId n : item.involved) {
+      if (n != me) {
+        pages_per_node[n].push_back(item.pid);
+      } else {
+        own_pages.push_back(item.pid);
+        own_full.push_back(false);
+      }
+    }
+  }
+  for (const DptEntry& e : node_->dpt_.ToEntries()) {
+    if (!HeldRemotePage(e.pid)) continue;
+    own_pages.push_back(e.pid);
+    own_full.push_back(false);
+    remote_scanned_.push_back(e.pid);
   }
   std::map<PageId, std::map<NodeId, std::vector<PsnListEntry>>> lists;
+  PsnListReply own;
+  CLOG_RETURN_IF_ERROR(node_->BuildPsnLists(own_pages, own_full, &own));
+  for (std::size_t i = 0; i < own_pages.size(); ++i) {
+    if (!own.per_page[i].empty()) {
+      lists[own_pages[i]][me] = std::move(own.per_page[i]);
+    }
+  }
   CLOG_RETURN_IF_ERROR(
       GatherPsnLists(pages_per_node, /*full_history=*/false, &lists));
   CLOG_RETURN_IF_ERROR(
@@ -532,10 +555,7 @@ Status RestartRecovery::RecoverRemotePages() {
   // by this node at crash time — their newest version died with our cache.
   for (const DptEntry& e : node_->dpt_.ToEntries()) {
     PageId pid = e.pid;
-    if (node_->OwnsPage(pid)) continue;
-    if (node_->lock_cache_.NodeMode(pid) != LockMode::kExclusive) {
-      continue;  // Current version lives elsewhere; nothing of ours is lost.
-    }
+    if (!HeldRemotePage(pid)) continue;
     // Base version: the owner's newest copy (cache or disk). If the owner
     // crashed too, it coordinates this page itself (Section 2.4) using the
     // DPT entries and log scans it collects from us.
@@ -572,15 +592,11 @@ Status RestartRecovery::RecoverRemotePages() {
       continue;
     }
     // Only our log can contain the missing tail (any other node's updates
-    // predate our exclusive lock and traveled with the page).
-    Page base;
-    base.CopyFrom(*reply.page);
-    PsnListReply plist;
-    CLOG_RETURN_IF_ERROR(
-        node_->HandleBuildPsnList(me, {pid}, /*full_history=*/false, &plist));
+    // predate our exclusive lock and traveled with the page). RedoOwnPages'
+    // pass left this page's resume cursor.
     RecoverPageReply rreply;
     ++stats_.redo_rounds;
-    CLOG_RETURN_IF_ERROR(node_->HandleRecoverPage(me, pid, base,
+    CLOG_RETURN_IF_ERROR(node_->HandleRecoverPage(me, pid, *reply.page,
                                                   /*has_bound=*/false, 0,
                                                   &rreply));
     stats_.redo_applied += rreply.applied;
@@ -593,6 +609,10 @@ Status RestartRecovery::RecoverRemotePages() {
     ++stats_.remote_pages_recovered;
     node_->metrics_.GetCounter("recovery.remote_pages_recovered").Add(1);
   }
+  // A redone page's last RecoverPage round dropped its cursor; a page left
+  // alone (owner down, page poisoned, owner's copy current) must not carry
+  // the pass's cursor into a later conversation.
+  for (PageId pid : remote_scanned_) node_->recovery_cursor_.erase(pid);
   return Status::OK();
 }
 

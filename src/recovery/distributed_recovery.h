@@ -142,8 +142,16 @@ class RestartRecovery {
   /// false when none does.
   Result<bool> FetchCachedCopy(PageId pid, const std::vector<NodeId>& holders);
 
-  /// Recovers remotely owned pages this node held exclusively (2.3.1 (b)).
+  /// Recovers remotely owned pages this node held exclusively (2.3.1 (b)),
+  /// resuming at the cursors RedoOwnPages' scan of our log left.
   Status RecoverRemotePages();
+
+  /// A remotely owned page we hold X on: its newest version died with our
+  /// cache, so our log must redo it (any other's lives elsewhere).
+  bool HeldRemotePage(PageId pid) const {
+    return !node_->OwnsPage(pid) &&
+           node_->lock_cache_.NodeMode(pid) == LockMode::kExclusive;
+  }
 
   /// Log-device loss: tells every reachable peer which of its pages this
   /// node's destroyed log leaves unrecoverable (the pages it held X on, per
@@ -158,7 +166,7 @@ class RestartRecovery {
   Status RecoverOwnPagesAfterLogLoss(
       const std::map<PageId, std::vector<NodeId>>& cached_at);
 
-  /// Batch-builds NodePSNLists: one request per involved node covering all
+  /// Batch-builds NodePSNLists: one request per involved peer covering all
   /// its pages (2.3.4). `full_history` asks peers to scan their whole log
   /// ignoring their DPT (torn-page rebuild from the space-map PSN seed).
   Status GatherPsnLists(
@@ -178,6 +186,8 @@ class RestartRecovery {
   std::map<NodeId, RecoveryQueryReply> peer_replies_;
   bool exchange_done_ = false;
   bool log_lost_ = false;  ///< Set by OpenAndAnalyze (log mark mismatch).
+  /// Remote pages RedoOwnPages' scan of our log left a cursor for.
+  std::vector<PageId> remote_scanned_;
   Stats stats_;
 };
 

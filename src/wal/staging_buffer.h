@@ -137,13 +137,6 @@ class StagingBuffer {
                     std::memory_order_release);
   }
 
-  /// True when every published record has been consumed. Racy by nature;
-  /// exact once the producer has quiesced.
-  bool Drained() const {
-    return produced_.load(std::memory_order_acquire) ==
-           consumed_.load(std::memory_order_acquire);
-  }
-
  private:
   /// Producer- and consumer-owned counters on their own cache lines so a
   /// publishing producer never bounces the drainer's line (false sharing

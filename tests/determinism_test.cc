@@ -245,6 +245,44 @@ TEST(DeterminismTest, PageDigestsMatchPerPageRedoBaseline) {
   }
 }
 
+/// Remote-page redo, pinned across log-scan strategies. Each schedule
+/// restarts a node that held X on remotely owned pages whose newest
+/// updates lived only in its own log (Section 2.3.1 (b)). The hashes were
+/// recorded while each such page rescanned the restarting node's log on
+/// its own; the single PSN-list pass over that log must leave every event,
+/// trace record and durable page image where it was.
+TEST(DeterminismTest, RemotePageRedoMatchesPerPageScanBaseline) {
+  struct Pin {
+    bool crash_during_recovery;
+    std::uint64_t seed;
+    std::uint64_t schedule_hash;
+    std::uint64_t trace_hash;
+    std::uint64_t page_digest;
+  };
+  const Pin kPins[] = {
+      {false, 18, 0x9b648fc74b894a50ull, 0x00f92d819454f955ull,
+       0x138bda69227ad94full},
+      {true, 8, 0x8fbb2e1a08a6d613ull, 0x1f2011f686ab54fdull,
+       0x764b6ee5a301342eull},
+  };
+  for (const Pin& pin : kPins) {
+    TortureOptions opts;
+    opts.seed = pin.seed;
+    opts.keep_events = false;
+    opts.crash_during_recovery = pin.crash_during_recovery;
+    TortureReport report = RunTortureSchedule(opts);
+    EXPECT_TRUE(report.ok) << "seed " << pin.seed << ": " << report.failure;
+    EXPECT_GT(report.remote_pages_recovered, 0u)
+        << "seed " << pin.seed << " no longer redoes a remote page";
+    EXPECT_EQ(report.schedule_hash, pin.schedule_hash)
+        << "seed " << pin.seed << " schedule hash drifted";
+    EXPECT_EQ(report.trace_hash, pin.trace_hash)
+        << "seed " << pin.seed << " trace hash drifted";
+    EXPECT_EQ(report.page_digest, pin.page_digest)
+        << "seed " << pin.seed << " durable page images drifted";
+  }
+}
+
 /// The pinned baselines above run with the default LoggingPolicy — all
 /// physical records — which is exactly the guarantee adaptive
 /// logging makes: when the policy is off, schedules and traces stay

@@ -142,5 +142,89 @@ TEST_F(PsnListBuildTest, ClrRecordsParticipateInRuns) {
   EXPECT_EQ(reply.per_page[0][1].psn, 1u);
 }
 
+/// One history, built identically in `dir`: pages a and b carry a
+/// committed run, a pure-logical loser's run (adaptive logging; a
+/// permanent redo-skip run once its restart ends it), and a post-restart
+/// run that gives both pages a fresh DPT entry.
+void BuildMixedHistory(const std::string& dir,
+                       std::unique_ptr<Cluster>* cluster, Node** node,
+                       PageId* a, PageId* b) {
+  ClusterOptions opts;
+  opts.dir = dir;
+  opts.logging_policy.WithStrategy(LogStrategy::kAdaptive);
+  *cluster = std::make_unique<Cluster>(opts);
+  ASSERT_OK_AND_ASSIGN(Node * n, (*cluster)->AddNode());
+  *node = n;
+  ASSERT_OK_AND_ASSIGN(*a, n->AllocatePage());
+  ASSERT_OK_AND_ASSIGN(*b, n->AllocatePage());
+  ASSERT_OK_AND_ASSIGN(TxnId t0, n->Begin());
+  ASSERT_OK_AND_ASSIGN(RecordId ra, n->Insert(t0, *a, "a0"));
+  ASSERT_OK_AND_ASSIGN(RecordId rb, n->Insert(t0, *b, "b0"));
+  ASSERT_OK(n->Commit(t0));
+  ASSERT_OK_AND_ASSIGN(TxnId loser, n->Begin());
+  ASSERT_OK(n->Update(loser, ra, "lost"));
+  ASSERT_OK(n->Update(loser, rb, "lost"));
+  ASSERT_OK(n->log().Flush(n->log().end_lsn()));
+  ASSERT_OK((*cluster)->CrashNode(n->id()));
+  ASSERT_OK((*cluster)->RestartNode(n->id()));
+  ASSERT_OK_AND_ASSIGN(TxnId t2, n->Begin());
+  ASSERT_OK(n->Update(t2, ra, "a1"));
+  ASSERT_OK(n->Update(t2, rb, "b1"));
+  ASSERT_OK(n->Commit(t2));
+}
+
+void ExpectSameLists(const std::vector<PsnListEntry>& got,
+                     const std::vector<PsnListEntry>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].psn, want[i].psn);
+    EXPECT_EQ(got[i].start_lsn, want[i].start_lsn);
+  }
+}
+
+TEST_F(PsnListBuildTest, MixedModeRequestMatchesSingleModeCalls) {
+  // Restart reads its own log once for partial and full-history pages
+  // together; that pass must leave exactly what one partial call and one
+  // full-history call leave on an identical node.
+  TempDir split_dir;
+  TempDir mixed_dir;
+  std::unique_ptr<Cluster> split_cluster;
+  std::unique_ptr<Cluster> mixed_cluster;
+  Node* split = nullptr;
+  Node* mixed = nullptr;
+  PageId a, b;
+  ASSERT_NO_FATAL_FAILURE(
+      BuildMixedHistory(split_dir.path(), &split_cluster, &split, &a, &b));
+  ASSERT_NO_FATAL_FAILURE(
+      BuildMixedHistory(mixed_dir.path(), &mixed_cluster, &mixed, &a, &b));
+
+  const std::uint64_t split_scans =
+      split->metrics().CounterValue("recovery.psn_list_scans");
+  const std::uint64_t mixed_scans =
+      mixed->metrics().CounterValue("recovery.psn_list_scans");
+  PsnListReply partial, full, both;
+  ASSERT_OK(split->BuildPsnLists({a}, {false}, &partial));
+  ASSERT_OK(split->BuildPsnLists({b}, {true}, &full));
+  ASSERT_OK(mixed->BuildPsnLists({a, b}, {false, true}, &both));
+
+  ASSERT_EQ(both.per_page.size(), 2u);
+  ExpectSameLists(both.per_page[0], partial.per_page[0]);
+  ExpectSameLists(both.per_page[1], full.per_page[0]);
+  // Partial: only the post-restart run. Full history: the committed run
+  // and the post-restart run; the loser's run is skipped.
+  EXPECT_EQ(partial.per_page[0].size(), 1u);
+  EXPECT_EQ(full.per_page[0].size(), 2u);
+  EXPECT_EQ(mixed->recovery_cursors(), split->recovery_cursors());
+  EXPECT_EQ(mixed->recovery_cursors().size(), 2u);
+  EXPECT_EQ(mixed->recovery_skip_txns(), split->recovery_skip_txns());
+  EXPECT_FALSE(mixed->recovery_skip_txns().empty());
+  // One scan, no longer than the full-history scan alone.
+  EXPECT_EQ(split->metrics().CounterValue("recovery.psn_list_scans"),
+            split_scans + 2);
+  EXPECT_EQ(mixed->metrics().CounterValue("recovery.psn_list_scans"),
+            mixed_scans + 1);
+  EXPECT_EQ(both.records_scanned, full.records_scanned);
+}
+
 }  // namespace
 }  // namespace clog

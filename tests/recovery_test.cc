@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/cluster.h"
+#include "fault/fault_injector.h"
 #include "recovery/local_recovery.h"
 #include "recovery/node_psn_list.h"
 #include "tests/test_util.h"
@@ -219,6 +220,72 @@ TEST_F(RecoveryTest, ClientCrashRecoversItsUpdatesOnRemotePage) {
   ASSERT_OK_AND_ASSIGN(std::string v, client_->Read(check, rid));
   EXPECT_EQ(v, "mine");
   ASSERT_OK(client_->Commit(check));
+}
+
+TEST_F(RecoveryTest, RestartScansOwnLogOnce) {
+  // Section 2.3(d): a restart reads its own log once for PSN lists. One
+  // pass serves the own pages needing redo — partial after a plain crash,
+  // full-history after the data device is lost — and the remote pages the
+  // node held X on (Section 2.3.1 (b)).
+  TempDir dir;
+  FaultInjector injector(/*seed=*/1);
+  ClusterOptions opts;
+  opts.dir = dir.path();
+  opts.fault_injector = &injector;
+  opts.logging_policy.WithArchiveEvery(1);
+  Cluster cluster(opts);
+  ASSERT_OK_AND_ASSIGN(Node * owner, cluster.AddNode());
+  ASSERT_OK_AND_ASSIGN(Node * client, cluster.AddNode());
+  std::vector<PageId> remote;
+  std::vector<RecordId> rids;
+  ASSERT_OK_AND_ASSIGN(TxnId seed, client->Begin());
+  for (int i = 0; i < 5; ++i) {
+    Node* home = i < 3 ? owner : client;
+    ASSERT_OK_AND_ASSIGN(PageId pid, home->AllocatePage());
+    if (home == owner) remote.push_back(pid);
+    ASSERT_OK_AND_ASSIGN(RecordId rid, client->Insert(seed, pid, "v0"));
+    rids.push_back(rid);
+  }
+  ASSERT_OK(client->Commit(seed));
+  ASSERT_OK(client->Checkpoint());  // Log mark + a sealed archive pass.
+
+  auto crash_and_restart = [&](const std::string& value, bool lose_data) {
+    ASSERT_OK_AND_ASSIGN(TxnId txn, client->Begin());
+    for (RecordId rid : rids) ASSERT_OK(client->Update(txn, rid, value));
+    ASSERT_OK(client->Commit(txn));
+    for (PageId pid : remote) {
+      ASSERT_EQ(client->lock_cache().NodeMode(pid), LockMode::kExclusive);
+    }
+    auto rebuilt = [&] {
+      return client->metrics().CounterValue("media.archive_restores") +
+             client->metrics().CounterValue("recovery.pages_rebuilt_from_seed");
+    };
+    const std::uint64_t scans =
+        client->metrics().CounterValue("recovery.psn_list_scans");
+    const std::uint64_t rebuilt_before = rebuilt();
+    if (lose_data) {
+      injector.ArmDeviceFault(client->id(), DeviceFault::kDestroyDataFile);
+    }
+    ASSERT_OK(cluster.CrashNode(client->id()));
+    ASSERT_OK(cluster.RestartNode(client->id()));
+
+    const auto& stats = cluster.recovery_stats().at(client->id());
+    EXPECT_EQ(stats.remote_pages_recovered, remote.size());
+    EXPECT_EQ(stats.own_pages_recovered, rids.size() - remote.size());
+    EXPECT_EQ(client->metrics().CounterValue("recovery.psn_list_scans"),
+              scans + 1);
+    // A lost device rebuilds every own page from its full history.
+    EXPECT_EQ(rebuilt() - rebuilt_before,
+              lose_data ? rids.size() - remote.size() : 0u);
+    ASSERT_OK_AND_ASSIGN(TxnId check, client->Begin());
+    for (RecordId rid : rids) {
+      ASSERT_OK_AND_ASSIGN(std::string v, client->Read(check, rid));
+      EXPECT_EQ(v, value);
+    }
+    ASSERT_OK(client->Commit(check));
+  };
+  ASSERT_NO_FATAL_FAILURE(crash_and_restart("v1", /*lose_data=*/false));
+  ASSERT_NO_FATAL_FAILURE(crash_and_restart("v2", /*lose_data=*/true));
 }
 
 TEST_F(RecoveryTest, ClientCrashLoserUndoneOnRemotePage) {
