@@ -17,11 +17,11 @@
 //                  own pages (client-local logging: commit = one local
 //                  log force, zero messages). Measures end-to-end commit
 //                  latency including the real fsync.
-//   BM_Recovery    Restart recovery wall clock at redo_workers 1/4 under
-//                  adaptive logging: the chain scheduler replaying on the
-//                  node's own thread vs on a 4-thread worker pool
+//   BM_Recovery    Restart recovery wall clock under adaptive logging,
+//                  where every page is self-only and is redone by one
+//                  forward pass over the owner's log
 //                  (docs/RECOVERY_WALKTHROUGH.md "Redo of self-only
-//                  pages"). The w1/w4 ratio is the worker scaling.
+//                  pages").
 //
 // Results go to BENCH_real.json (scripts/run_bench.sh --real). They are
 // wall-clock and machine-dependent: recorded for eyeballing trends, never
@@ -195,29 +195,24 @@ LatencyStats MeasureCommit(int sessions, int txns_per_session) {
 
 struct RecoveryResult {
   double wall_ms = 0;
-  std::uint64_t chains = 0;
-  std::uint64_t parallel_pages = 0;
+  std::uint64_t self_only_pages = 0;
   std::uint64_t applied = 0;
 };
 
-/// BM_Recovery: restart recovery wall clock vs redo worker count
-/// (docs/RECOVERY_WALKTHROUGH.md "Redo of self-only pages"). One owner
-/// commits adaptive single-page transactions against 16 of its own pages,
-/// crashes with the cache lost, and restarts. The chain scheduler makes
-/// one raw pass over the log either way; with 1 worker the node's thread
-/// replays the page-disjoint chains in order, with 4 a pool checksums,
-/// decodes and applies them concurrently. Identical log, identical final
-/// pages — only the replay parallelism differs.
-RecoveryResult MeasureRecovery(std::size_t redo_workers, int rounds) {
+/// BM_Recovery: restart recovery wall clock (docs/RECOVERY_WALKTHROUGH.md
+/// "Redo of self-only pages"). One owner commits adaptive single-page
+/// transactions against 16 of its own pages, crashes with the cache lost,
+/// and restarts; the self-only pass redoes every page in one forward pass
+/// over its log.
+RecoveryResult MeasureRecovery(int rounds) {
   std::string dir = "/tmp/clog_bench_real_recovery";
   std::system(("rm -rf " + dir).c_str());
   ClusterOptions options;
   options.dir = dir;
   options.execution_mode = ExecutionMode::kRealThreads;
   options.node_defaults.buffer_frames = 64;
-  options.logging_policy = LoggingPolicy()
-                               .WithStrategy(LogStrategy::kAdaptive)
-                               .WithRedoWorkers(redo_workers);
+  options.logging_policy =
+      LoggingPolicy().WithStrategy(LogStrategy::kAdaptive);
   Cluster cluster(options);
   Node* owner = Value(cluster.AddNode(), "owner");
   // A second node keeps the PSN-list exchange honest: it answers with an
@@ -249,11 +244,10 @@ RecoveryResult MeasureRecovery(std::size_t redo_workers, int rounds) {
   const auto& s = cluster.recovery_stats().at(owner->id());
   RecoveryResult out;
   out.wall_ms = static_cast<double>(wall) / 1e6;
-  out.chains = s.redo_chains;
-  out.parallel_pages = s.parallel_pages;
+  out.self_only_pages = s.self_only_pages;
   out.applied = s.redo_applied;
 
-  // The recovered state must be servable whatever the engine was.
+  // The recovered state must be servable.
   Status st = cluster.RunTransaction(
       owner->id(), [&](TxnHandle& txn) -> Status {
         for (PageId pid : pages) {
@@ -337,25 +331,12 @@ int main(int argc, char** argv) {
       "\n--- BM_Recovery: 16 pages, %d single-page txns, crash+restart "
       "---\n",
       rounds * 16);
-  std::printf("%-10s | %10s %7s %9s %9s\n", "workers", "wall_ms", "chains",
-              "par_pages", "applied");
-  double w1_ms = 0, w4_ms = 0;
-  for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-    RecoveryResult r = MeasureRecovery(workers, rounds);
-    std::printf("%-10zu | %10.2f %7llu %9llu %9llu\n", workers, r.wall_ms,
-                static_cast<unsigned long long>(r.chains),
-                static_cast<unsigned long long>(r.parallel_pages),
-                static_cast<unsigned long long>(r.applied));
-    std::string key = "real_recovery_w" + std::to_string(workers);
-    kv.push_back({key + "_ms", r.wall_ms});
-    if (workers == 1) w1_ms = r.wall_ms;
-    if (workers == 4) w4_ms = r.wall_ms;
-  }
-  // Worker scaling of the replay alone: both rows run the same one-pass
-  // scheduler, so this ratio isolates what the pool adds.
-  const double speedup = w4_ms > 0 ? w1_ms / w4_ms : 0;
-  std::printf("redo worker scaling, 1 -> 4 workers: %.2fx\n", speedup);
-  kv.push_back({"real_recovery_parallel_speedup", speedup});
+  std::printf("%10s %10s %9s\n", "wall_ms", "self_pages", "applied");
+  RecoveryResult r = MeasureRecovery(rounds);
+  std::printf("%10.2f %10llu %9llu\n", r.wall_ms,
+              static_cast<unsigned long long>(r.self_only_pages),
+              static_cast<unsigned long long>(r.applied));
+  kv.push_back({"real_recovery_ms", r.wall_ms});
 
   if (!json_path.empty()) {
     WriteJson(json_path, kv);

@@ -14,7 +14,7 @@ fi
 for b in "$BUILD_DIR"/bench/bench_*; do
   [ -x "$b" ] || continue
   case "$b" in
-    *bench_micro_ops) "$b" --benchmark_min_time=0.05s ;;
+    *bench_micro_ops) "$b" --benchmark_min_time=0.05 ;;
     *) "$b" ;;
   esac
 done

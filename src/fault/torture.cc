@@ -340,11 +340,8 @@ class TortureRun {
     }
     if (options_.adaptive) {
       // Strategy-mix schedules: the cluster default is adaptive (DoTxn
-      // overrides a seeded fraction back to physical). Two redo workers
-      // keep the real-mode pool path honest; the simulation replays the
-      // chains sequentially either way.
-      copts.logging_policy.WithStrategy(LogStrategy::kAdaptive)
-          .WithRedoWorkers(2);
+      // overrides a seeded fraction back to physical).
+      copts.logging_policy.WithStrategy(LogStrategy::kAdaptive);
       Event("adaptive on");
     }
     if (MediaMode()) {
@@ -359,7 +356,6 @@ class TortureRun {
       // node per step so the backlog drains while the workload keeps
       // landing on half-restored nodes.
       copts.node_defaults.instant_restore.enabled = true;
-      copts.node_defaults.instant_restore.sweep_batch = 1;
       Event("hammer-restore on");
     }
     cluster_ = std::make_unique<Cluster>(copts);

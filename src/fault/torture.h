@@ -44,11 +44,9 @@ struct TortureOptions {
   /// parked as an indeterminate commit (resolved at the next restart).
   bool group_commit = false;
   /// Adaptive-logging mode: the cluster runs with LoggingPolicy
-  /// strategy=kAdaptive and a 2-worker redo pool (in simulation the chains
-  /// replay sequentially in deterministic order all the same), and each
-  /// harness transaction draws a seeded per-transaction strategy override
-  /// so compact logical records, physical records, upgrades, and backfills
-  /// all interleave in one log.
+  /// strategy=kAdaptive, and each harness transaction draws a seeded
+  /// per-transaction strategy override so compact logical records,
+  /// physical records, upgrades, and backfills all interleave in one log.
   /// Two extra checks ride on top of the base invariant set: the invariant
   /// 4 ground-truth scan mirrors the redo skip rule (docs/PROTOCOLS.md),
   /// and the final phase captures every recoverable page's bytes before

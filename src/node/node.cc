@@ -1352,9 +1352,6 @@ std::size_t Node::SweepRestore(std::size_t max_pages) {
   if (state_ != NodeState::kUp || !restore_.active()) {
     return restore_.pending();
   }
-  if (max_pages == 0) {
-    max_pages = std::max<std::size_t>(1, options_.instant_restore.sweep_batch);
-  }
   restore_.Sweep(this, max_pages);
   return restore_.pending();
 }

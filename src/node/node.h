@@ -350,12 +350,12 @@ class Node : public NodeService {
   /// Pages still awaiting rebuild (0 = not in a restore epoch).
   std::size_t RestorePendingCount() const { return restore_.pending(); }
 
-  /// Background drain: rebuilds up to `max_pages` pending pages (0 = the
-  /// configured sweep batch) in plan-priority order. Returns the number of
-  /// pages still pending afterwards. Driven by the cluster's sweeper (a
-  /// dedicated thread in real mode, scheduled work in simulation) and
-  /// callable directly by tests. No-op unless up and restoring.
-  std::size_t SweepRestore(std::size_t max_pages = 0);
+  /// Background drain: rebuilds up to `max_pages` pending pages in
+  /// plan-priority order. Returns the number of pages still pending
+  /// afterwards. Driven by the cluster's sweeper (a dedicated thread in
+  /// real mode, scheduled work in simulation) and callable directly by
+  /// tests. No-op unless up and restoring.
+  std::size_t SweepRestore(std::size_t max_pages = 1);
 
   /// Runs one fuzzy archive pass over all owned pages: copies every page
   /// whose PSN moved since it was last archived (newest cached version if

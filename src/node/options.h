@@ -73,8 +73,6 @@ struct ArchiveOptions {
 /// eagerly before the node comes up, exactly as before.
 struct InstantRestoreOptions {
   bool enabled = false;
-  /// Pages the background sweeper rebuilds per invocation.
-  std::size_t sweep_batch = 1;
 };
 
 /// What kind of update record a transaction writes (adaptive logging,
@@ -93,33 +91,23 @@ enum class LogStrategy : std::uint8_t {
 std::string_view LogStrategyName(LogStrategy s);
 
 /// The unified logging policy: strategy selection, commit-force coalescing,
-/// archive cadence, and the restart redo pool size in one value type. A
-/// cluster sets it once (ClusterOptions::logging_policy); a node inherits
-/// it unless its NodeOptions carry their own.
+/// and archive cadence in one value type. A cluster sets it once
+/// (ClusterOptions::logging_policy); a node inherits it unless its
+/// NodeOptions carry their own.
 ///
 /// Named setters chain, so call sites read as one declaration:
 ///
 ///   opts.logging_policy = LoggingPolicy()
 ///       .WithStrategy(LogStrategy::kAdaptive)
 ///       .WithGroupCommit(true)
-///       .WithRedoWorkers(4);
+///       .WithArchiveEvery(1);
 struct LoggingPolicy {
   LogStrategy strategy = LogStrategy::kPhysical;
-  /// Restart redo pool size: worker threads replaying the chain
-  /// scheduler's independent transaction chains (docs/RECOVERY_WALKTHROUGH.md
-  /// "Redo of self-only pages") in real execution mode. 0 or 1 replays
-  /// the chains in order on the node's own thread, as the simulation
-  /// always does.
-  std::size_t redo_workers = 0;
   GroupCommitPolicy group_commit;
   ArchiveOptions archive;
 
   LoggingPolicy& WithStrategy(LogStrategy s) {
     strategy = s;
-    return *this;
-  }
-  LoggingPolicy& WithRedoWorkers(std::size_t n) {
-    redo_workers = n;
     return *this;
   }
   LoggingPolicy& WithGroupCommit(bool on) {

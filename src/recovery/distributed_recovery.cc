@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "recovery/redo_scheduler.h"
 #include "trace/trace_sink.h"
 #include "wal/log_reader.h"
 
@@ -430,10 +429,8 @@ Status RestartRecovery::RedoOwnPages(std::vector<RedoWork>* work) {
       GatherPsnLists(full_pages_per_node, /*full_history=*/true, &lists));
 
   // Self-only pages — every PSN-list entry comes from our own log — need no
-  // Section 2.3.4 bouncing: the chain scheduler (recovery/redo_scheduler.h)
-  // redoes them all in one raw pass over the local log, replaying
-  // page-disjoint transaction chains on the worker pool (real mode) or in
-  // deterministic chain order on this thread. Multi-node histories,
+  // Section 2.3.4 bouncing: RedoSelfOnlyPages redoes them all in one
+  // forward pass over the local log on this thread. Multi-node histories,
   // full-history rebuilds, and histories with a PSN hole (which the replay
   // below fences) bounce between the nodes instead.
   std::vector<RedoPageTask> tasks;
@@ -453,29 +450,24 @@ Status RestartRecovery::RedoOwnPages(std::vector<RedoWork>* work) {
     task.start_lsn =
         cur != node_->recovery_cursor_.end() ? cur->second : kNullLsn;
     tasks.push_back(task);
-    item.scheduled = true;
+    item.self_only = true;
   }
   if (!tasks.empty()) {
-    Executor* exec = node_->network_->executor();
-    RedoScheduler scheduler(
-        &node_->log_, &node_->recovery_skip_txns_,
-        node_->options_.logging_policy->redo_workers,
-        /*use_threads=*/exec != nullptr && exec->real_threads());
-    RedoScheduleStats rstats;
-    CLOG_RETURN_IF_ERROR(scheduler.Run(&tasks, &rstats));
-    stats_.redo_chains += rstats.chains;
-    stats_.parallel_pages += tasks.size();
-    stats_.parallel_applied += rstats.applied;
-    stats_.redo_applied += rstats.applied;
-    node_->metrics_.GetCounter("recovery.parallel_chains").Add(rstats.chains);
-    node_->metrics_.GetCounter("recovery.redo_applied").Add(rstats.applied);
+    CLOG_RETURN_IF_ERROR(RedoSelfOnlyPages(
+        &node_->log_, node_->recovery_skip_txns_, &tasks));
+    std::uint64_t applied = 0;
+    for (const RedoPageTask& t : tasks) applied += t.applied;
+    stats_.self_only_pages += tasks.size();
+    stats_.self_only_applied += applied;
+    stats_.redo_applied += applied;
+    node_->metrics_.GetCounter("recovery.redo_applied").Add(applied);
   }
 
   // Land every page in PageId order, whichever engine redid it.
   for (RedoWork& item : *work) {
-    if (item.scheduled) {
-      // The scheduler bypassed HandleRecoverPage, whose final round would
-      // have dropped the conversation's per-page scan state.
+    if (item.self_only) {
+      // The self-only pass bypassed HandleRecoverPage, whose final round
+      // would have dropped the conversation's per-page scan state.
       node_->recovery_cursor_.erase(item.pid);
       node_->recovery_applied_.erase(item.pid);
     } else {

@@ -52,11 +52,10 @@ class RestartRecovery {
     std::uint64_t losers_undone = 0;
     std::uint64_t clean_candidates = 0;    ///< Candidates already on disk.
     std::uint64_t sim_ns = 0;              ///< Simulated time consumed.
-    // --- Adaptive logging / chain-scheduled redo ---
+    // --- Adaptive logging / self-only redo ---
     std::uint64_t logical_losers_skipped = 0;  ///< Pure-logical: END only.
-    std::uint64_t redo_chains = 0;         ///< Independent chains scheduled.
-    std::uint64_t parallel_pages = 0;      ///< Pages redone by the scheduler.
-    std::uint64_t parallel_applied = 0;    ///< Records the scheduler applied.
+    std::uint64_t self_only_pages = 0;     ///< Pages redone from own log alone.
+    std::uint64_t self_only_applied = 0;   ///< Records applied to those pages.
     // --- Media recovery (data/log device loss) ---
     std::uint64_t media_candidates = 0;    ///< Probe candidates from device scan.
     std::uint64_t archive_restores = 0;    ///< Bases restored from the archive.
@@ -116,7 +115,7 @@ class RestartRecovery {
     std::unique_ptr<Page> base;
     std::vector<NodeId> involved;  ///< DPT contributors past the disk PSN.
     bool full_history = false;     ///< Rebuilding a lost page from its base.
-    bool scheduled = false;        ///< Redone by the chain scheduler.
+    bool self_only = false;        ///< Redone by the self-only pass.
   };
 
   /// Determines and recovers pages owned by this node (2.3.1-2.3.4):
@@ -133,8 +132,8 @@ class RestartRecovery {
       const std::map<PageId, std::vector<NodeId>>& cached_at,
       std::vector<RedoWork>* work, std::uint64_t* deferred_with_peer);
 
-  /// Execute step: gathers the PSN lists, redoes self-only pages with the
-  /// chain scheduler, bounces the rest between the involved nodes
+  /// Execute step: gathers the PSN lists, redoes self-only pages in one
+  /// pass over the local log, bounces the rest between the involved nodes
   /// (2.3.4), and lands every page in PageId order.
   Status RedoOwnPages(std::vector<RedoWork>* work);
 

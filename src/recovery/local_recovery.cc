@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/crc32c.h"
+#include "storage/page.h"
 #include "wal/log_reader.h"
 
 namespace clog {
@@ -86,6 +88,49 @@ Status AnalyzeLog(LogManager* log, AnalysisResult* out) {
   }
   CLOG_RETURN_IF_ERROR(scan_status);
   out->records_scanned = cursor.records_read();
+  return Status::OK();
+}
+
+Status RedoSelfOnlyPages(LogManager* log, const std::set<TxnId>& skip_txns,
+                         std::vector<RedoPageTask>* tasks) {
+  std::map<PageId, RedoPageTask*> task_of_page;
+  Lsn lsn = kNullLsn;
+  for (RedoPageTask& t : *tasks) {
+    if (t.start_lsn == kNullLsn) continue;
+    task_of_page[t.pid] = &t;
+    if (lsn == kNullLsn || t.start_lsn < lsn) lsn = t.start_lsn;
+  }
+
+  const Lsn end = log->end_lsn();
+  std::string body;
+  std::uint32_t crc = 0;
+  while (lsn != kNullLsn && lsn < end) {
+    Lsn next = kNullLsn;
+    CLOG_RETURN_IF_ERROR(log->ReadRawFrame(lsn, &body, &crc, &next));
+    LogRecord hdr;
+    CLOG_RETURN_IF_ERROR(LogRecord::DecodeHeaderFrom(body, &hdr));
+    auto it = hdr.IsPageUpdate() ? task_of_page.find(hdr.page)
+                                 : task_of_page.end();
+    if (it != task_of_page.end() && lsn >= it->second->start_lsn &&
+        !(hdr.type == LogRecordType::kLogicalUpdate &&
+          skip_txns.contains(hdr.txn))) {
+      if (crc32c::Value(body.data(), body.size()) != crc) {
+        return Status::Corruption("log record crc mismatch at lsn " +
+                                  std::to_string(lsn));
+      }
+      LogRecord rec;
+      CLOG_RETURN_IF_ERROR(LogRecord::DecodeFrom(body, &rec));
+      RedoPageTask& task = *it->second;
+      // Below the page's PSN: already reflected in the base image. Above
+      // it cannot occur: self-only pages have no other contributor to fill
+      // the gap, and a gapped history is fenced, never handed here.
+      if (rec.psn_before == task.page->psn()) {
+        CLOG_RETURN_IF_ERROR(ApplyRedo(rec, task.page));
+        ++task.applied;
+      }
+    }
+    lsn = next;
+  }
   return Status::OK();
 }
 

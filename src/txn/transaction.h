@@ -72,8 +72,8 @@ struct Transaction {
   /// from the backfill record when a resurrected loser rolls back).
   std::map<Lsn, std::string> logical_undos;
   /// Committed predecessors whose pages this (adaptive) transaction
-  /// touched: txn id -> commit LSN. Encoded into the commit record so
-  /// dependency-aware redo keeps the chains ordered.
+  /// touched: txn id -> commit LSN. Encoded into the commit record as
+  /// CommitDep edges.
   std::map<TxnId, Lsn> commit_deps;
 };
 

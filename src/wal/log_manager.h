@@ -143,10 +143,10 @@ class LogManager {
   Status ReadRecord(Lsn lsn, LogRecord* rec, Lsn* next_lsn = nullptr);
 
   /// Reads the raw frame at `lsn`: the undecoded record body plus the CRC
-  /// the frame header stores for it, verifying neither. The parallel redo
-  /// scheduler uses this to move checksum + decode work off the
-  /// coordinating thread; callers must check crc32c::Value(body) == crc
-  /// before decoding.
+  /// the frame header stores for it, verifying neither. The self-only redo
+  /// pass uses this to route frames by header and pay checksum + decode
+  /// only for the frames it applies; callers must check
+  /// crc32c::Value(body) == crc before decoding.
   Status ReadRawFrame(Lsn lsn, std::string* body, std::uint32_t* crc,
                       Lsn* next_lsn = nullptr);
 

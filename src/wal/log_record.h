@@ -80,7 +80,8 @@ struct BackfillEntry {
 
 /// Dependency edge recorded in an adaptive transaction's commit record:
 /// the committed predecessor whose effects this transaction read or
-/// overwrote, so dependency-aware redo keeps their chains ordered.
+/// overwrote. Redo does not read them: per-page PSN order alone fixes the
+/// replay order.
 struct CommitDep {
   TxnId txn = kInvalidTxnId;  ///< Predecessor transaction.
   Lsn lsn = kNullLsn;         ///< Predecessor's commit LSN.

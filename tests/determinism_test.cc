@@ -206,7 +206,7 @@ TEST(DeterminismTest, TortureHashesMatchPreRefactorBaseline) {
 /// restarts nodes whose dirty pages have a self-only history (every
 /// PSN-list entry comes from the restarting node's own log); the digests
 /// were recorded while those pages replayed through per-page log rescans,
-/// before the chain scheduler became the only self-only engine. The final
+/// before self-only pages moved to one forward redo pass. The final
 /// data files must stay byte-identical: the engines differ in how they
 /// read the log, never in what a page ends up holding.
 TEST(DeterminismTest, PageDigestsMatchPerPageRedoBaseline) {

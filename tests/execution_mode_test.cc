@@ -270,14 +270,13 @@ TEST(ExecutionModeTest, StoppedWorkerRejectsWorkUntilRestart) {
 
 /// Own-page recovery equivalence across engines. Every session writes only
 /// its own pages, so the whole log is self-only histories and restart
-/// recovery hands every page to the chain scheduler — chains replayed
-/// sequentially in simulation, by the worker pool in real mode when
-/// `policy` asks for one. Both must land on the same committed state, and
-/// both must actually have scheduled chains (the stats prove the scheduler
-/// ran, not the Section 2.3.4 bounce).
+/// recovery hands every page to the self-only pass. Both engines must land
+/// on the same committed state, and both must actually have redone every
+/// page that way (the stats prove the self-only pass ran, not the Section
+/// 2.3.4 bounce).
 std::map<PageId, std::vector<std::string>> RunOwnPageRecovery(
     const std::string& dir, ExecutionMode mode, const LoggingPolicy& policy,
-    std::uint64_t* chains, std::uint64_t* parallel_pages) {
+    std::uint64_t* self_only_pages) {
   constexpr int kNodes = 3;
   constexpr int kPagesPerNode = 2;
   constexpr int kTxnsPerSession = 6;
@@ -299,8 +298,8 @@ std::map<PageId, std::vector<std::string>> RunOwnPageRecovery(
     }));
   }
 
-  // Sessions run sequentially — this test is about recovery parallelism,
-  // not workload parallelism. Every third transaction forces the physical
+  // Sessions run sequentially — this test is about recovery, not workload
+  // parallelism. Every third transaction forces the physical
   // strategy so both record families interleave in each log.
   for (int s = 0; s < kNodes; ++s) {
     EXPECT_OK(cluster.Execute(s, [&] {
@@ -329,11 +328,9 @@ std::map<PageId, std::vector<std::string>> RunOwnPageRecovery(
   std::vector<NodeId> ids = cluster.NodeIds();
   for (NodeId id : ids) EXPECT_OK(cluster.CrashNode(id));
   EXPECT_OK(cluster.RestartNodes(ids));
-  *chains = 0;
-  *parallel_pages = 0;
+  *self_only_pages = 0;
   for (const auto& [id, stats] : cluster.recovery_stats()) {
-    *chains += stats.redo_chains;
-    *parallel_pages += stats.parallel_pages;
+    *self_only_pages += stats.self_only_pages;
   }
   for (NodeId id : ids) {
     EXPECT_OK(cluster.Execute(id, [&] {
@@ -359,20 +356,17 @@ std::map<PageId, std::vector<std::string>> RunOwnPageRecovery(
 }
 
 /// Runs RunOwnPageRecovery under `policy` in both engines and requires the
-/// scheduler to have redone every owned page, with identical records.
+/// self-only pass to have redone every owned page, with identical records.
 void ExpectOwnPageRecoveryConverges(const LoggingPolicy& policy) {
   TempDir sim_dir, real_dir;
-  std::uint64_t sim_chains = 0, sim_pages = 0;
-  std::uint64_t real_chains = 0, real_pages = 0;
+  std::uint64_t sim_pages = 0, real_pages = 0;
   auto sim = RunOwnPageRecovery(sim_dir.path(), ExecutionMode::kSimulation,
-                                policy, &sim_chains, &sim_pages);
+                                policy, &sim_pages);
   auto real = RunOwnPageRecovery(real_dir.path(),
                                  ExecutionMode::kRealThreads, policy,
-                                 &real_chains, &real_pages);
+                                 &real_pages);
 
-  // The scheduler ran in both engines, over every owned page.
-  EXPECT_GT(sim_chains, 0u);
-  EXPECT_GT(real_chains, 0u);
+  // The self-only pass ran in both engines, over every owned page.
   EXPECT_EQ(sim_pages, 6u);
   EXPECT_EQ(real_pages, 6u);
 
@@ -389,15 +383,13 @@ void ExpectOwnPageRecoveryConverges(const LoggingPolicy& policy) {
   EXPECT_EQ(total, static_cast<std::size_t>(3 * 6 * 2));
 }
 
-TEST(ExecutionModeTest, AdaptiveParallelRedoConvergesAcrossModes) {
-  ExpectOwnPageRecoveryConverges(LoggingPolicy()
-                                     .WithStrategy(LogStrategy::kAdaptive)
-                                     .WithRedoWorkers(4));
+TEST(ExecutionModeTest, AdaptiveRedoConvergesAcrossModes) {
+  ExpectOwnPageRecoveryConverges(
+      LoggingPolicy().WithStrategy(LogStrategy::kAdaptive));
 }
 
-/// The default policy (physical records, no redo pool) takes the same
-/// scheduler: it is the only engine for self-only pages, replaying chains
-/// on the node's own thread in both modes.
+/// The default policy (physical records) takes the same self-only pass in
+/// both modes.
 TEST(ExecutionModeTest, DefaultPolicyRedoConvergesAcrossModes) {
   ExpectOwnPageRecoveryConverges(LoggingPolicy());
 }

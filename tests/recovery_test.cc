@@ -1,9 +1,12 @@
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "core/cluster.h"
 #include "fault/fault_injector.h"
 #include "recovery/local_recovery.h"
 #include "recovery/node_psn_list.h"
+#include "storage/slotted_page.h"
 #include "tests/test_util.h"
 
 namespace clog {
@@ -398,6 +401,140 @@ TEST_F(RecoveryTest, AnalysisFindsLosersAndDpt) {
   EXPECT_EQ(result.dpt[target].psn, 7u);
   EXPECT_EQ(result.dpt[target].curr_psn, 8u);
   EXPECT_EQ(result.records_scanned, 4u);
+}
+
+/// A formatted empty data page at `psn`, as a base image for redo.
+Page BaseImage(PageId pid, Psn psn) {
+  Page page;
+  page.Format(pid, PageType::kData, psn);
+  SlottedPage(&page).InitBody();
+  return page;
+}
+
+/// Appends a page-update insert of `payload` at `slot` and returns its LSN.
+Lsn AppendInsert(LogManager* log, LogRecordType type, TxnId txn, PageId pid,
+                 Psn psn_before, SlotId slot, const std::string& payload) {
+  LogRecord rec;
+  rec.type = type;
+  rec.txn = txn;
+  rec.page = pid;
+  rec.psn_before = psn_before;
+  rec.op = RecordOp::kInsert;
+  rec.slot = slot;
+  rec.redo_image = payload;
+  Lsn lsn = kNullLsn;
+  EXPECT_OK(log->Append(rec, &lsn));
+  return lsn;
+}
+
+std::string SlotText(Page* page, SlotId slot) {
+  Result<Slice> r = SlottedPage(page).Read(slot);
+  return r.ok() ? r->ToString() : r.status().ToString();
+}
+
+TEST(SelfOnlyRedoTest, AppliesMatchingRecordsInOnePass) {
+  // Direct unit coverage of RedoSelfOnlyPages over a hand-built log.
+  TempDir scratch;
+  LogManager log;
+  ASSERT_OK(log.Open(scratch.path() + "/log"));
+  const TxnId winner = MakeTxnId(0, 1);
+  const TxnId loser = MakeTxnId(0, 2);
+  const PageId a{0, 1}, b{0, 2}, c{0, 3}, d{0, 4};
+  Lsn lsn = kNullLsn;
+  LogRecord begin;
+  begin.type = LogRecordType::kBegin;
+  begin.txn = winner;
+  ASSERT_OK(log.Append(begin, &lsn));
+  // The loser's logical record matches b's PSN but the skip rule drops it.
+  const Lsn b_start = AppendInsert(&log, LogRecordType::kLogicalUpdate,
+                                   loser, b, 3, 0, "skipped");
+  AppendInsert(&log, LogRecordType::kUpdate, winner, b, 3, 0, "b0");
+  // Inside the pass (after b's start_lsn) and applicable by PSN, but
+  // before a's start_lsn.
+  AppendInsert(&log, LogRecordType::kUpdate, winner, a, 5, 0, "early");
+  const Lsn a_start =
+      AppendInsert(&log, LogRecordType::kUpdate, winner, a, 5, 0, "a0");
+  // PSN mismatch: neither at nor reachable from a's PSN.
+  AppendInsert(&log, LogRecordType::kUpdate, winner, a, 9, 1, "stray");
+  AppendInsert(&log, LogRecordType::kUpdate, winner, a, 6, 1, "a1");
+  // c has no task; d has a task with nothing to scan.
+  AppendInsert(&log, LogRecordType::kUpdate, winner, c, 0, 0, "c0");
+  AppendInsert(&log, LogRecordType::kUpdate, winner, d, 2, 0, "d0");
+  LogRecord commit;
+  commit.type = LogRecordType::kCommit;
+  commit.txn = winner;
+  ASSERT_OK(log.Append(commit, &lsn));
+  ASSERT_OK(log.Flush(lsn));
+
+  Page page_a = BaseImage(a, 5), page_b = BaseImage(b, 3);
+  Page page_d = BaseImage(d, 2);
+  std::vector<RedoPageTask> tasks{{a, &page_a, a_start},
+                                  {b, &page_b, b_start},
+                                  {d, &page_d, kNullLsn}};
+  ASSERT_OK(RedoSelfOnlyPages(&log, {loser}, &tasks));
+
+  EXPECT_EQ(tasks[0].applied, 2u);
+  EXPECT_EQ(page_a.psn(), 7u);
+  EXPECT_EQ(SlotText(&page_a, 0), "a0");
+  EXPECT_EQ(SlotText(&page_a, 1), "a1");
+  EXPECT_EQ(tasks[1].applied, 1u);
+  EXPECT_EQ(page_b.psn(), 4u);
+  EXPECT_EQ(SlotText(&page_b, 0), "b0");
+  EXPECT_EQ(tasks[2].applied, 0u);
+  EXPECT_EQ(page_d.psn(), 2u);
+}
+
+TEST(SelfOnlyRedoTest, StopsAtCorruptRoutedFrame) {
+  TempDir scratch;
+  const std::string path = scratch.path() + "/log";
+  LogManager log;
+  ASSERT_OK(log.Open(path));
+  const TxnId txn = MakeTxnId(0, 1);
+  const PageId a{0, 1}, b{0, 2};
+  const Lsn first =
+      AppendInsert(&log, LogRecordType::kUpdate, txn, a, 5, 0, "a0");
+  const std::string payload = "b0-payload";
+  const Lsn bad =
+      AppendInsert(&log, LogRecordType::kUpdate, txn, b, 3, 0, payload);
+  const Lsn last =
+      AppendInsert(&log, LogRecordType::kUpdate, txn, a, 6, 1, "a1");
+  ASSERT_OK(log.Flush(last));
+
+  // Flip one byte of the middle frame's redo image in the durable file:
+  // the header still routes the frame and the body still decodes, so only
+  // the checksum can catch it.
+  std::string body;
+  std::uint32_t crc = 0;
+  Lsn next = kNullLsn;
+  ASSERT_OK(log.ReadRawFrame(bad, &body, &crc, &next));
+  ASSERT_EQ(next, last);
+  const std::size_t pos = body.find(payload);
+  ASSERT_NE(pos, std::string::npos);
+  const off_t off = static_cast<off_t>(next - body.size() + pos);
+  const int fd = ::open(path.c_str(), O_RDWR);
+  ASSERT_GE(fd, 0);
+  char byte = 0;
+  ASSERT_EQ(::pread(fd, &byte, 1, off), 1);
+  ASSERT_EQ(byte, payload[0]);
+  byte ^= 0x01;
+  ASSERT_EQ(::pwrite(fd, &byte, 1, off), 1);
+  ::close(fd);
+  std::string flipped;
+  ASSERT_OK(log.ReadRawFrame(bad, &flipped, &crc));
+  ASSERT_EQ(flipped[pos], byte);
+  LogRecord decoded;
+  ASSERT_OK(LogRecord::DecodeFrom(flipped, &decoded));
+
+  Page page_a = BaseImage(a, 5), page_b = BaseImage(b, 3);
+  std::vector<RedoPageTask> tasks{{a, &page_a, first},
+                                  {b, &page_b, first}};
+  Status st = RedoSelfOnlyPages(&log, {}, &tasks);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  // The frame before the corruption was applied; nothing at or after it.
+  EXPECT_EQ(tasks[0].applied, 1u);
+  EXPECT_EQ(page_a.psn(), 6u);
+  EXPECT_EQ(tasks[1].applied, 0u);
+  EXPECT_EQ(page_b.psn(), 3u);
 }
 
 }  // namespace
