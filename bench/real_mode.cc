@@ -16,7 +16,10 @@
 //                  own node, committing update transactions against its
 //                  own pages (client-local logging: commit = one local
 //                  log force, zero messages). Measures end-to-end commit
-//                  latency including the real fsync.
+//                  latency including the real fsync. One more row puts 4
+//                  sessions on ONE node (own pages each): their commits
+//                  share log forces (docs/PROTOCOLS.md "Commit
+//                  coalescing"), reported as forces/commit.
 //   BM_Recovery    Restart recovery wall clock under adaptive logging,
 //                  where every page is self-only and is redone by one
 //                  forward pass over the owner's log
@@ -134,7 +137,13 @@ LatencyStats MeasureLogAppend(int producers, int appends_per_producer) {
   return Summarize(std::move(all), wall);
 }
 
-LatencyStats MeasureCommit(int sessions, int txns_per_session) {
+/// `shared_node` false: one node per session, so sessions contend on
+/// nothing but the machine (scheduler, disk). True: every session on node
+/// 0, still each on its own pages, so they share that node's worker and
+/// its log forces. `*forces_per_commit` is log forces over commits during
+/// the timed phase.
+LatencyStats MeasureCommit(int sessions, int txns_per_session,
+                           bool shared_node, double* forces_per_commit) {
   std::string dir = "/tmp/clog_bench_real_commit";
   std::system(("rm -rf " + dir).c_str());
   ClusterOptions options;
@@ -143,12 +152,12 @@ LatencyStats MeasureCommit(int sessions, int txns_per_session) {
   options.node_defaults.buffer_frames = 256;
   Cluster cluster(options);
 
-  // One node per session, each committing against its own pages: sessions
-  // contend on nothing but the machine (scheduler, disk), which is exactly
-  // the axis this bench sweeps.
   std::vector<std::vector<RecordId>> records(sessions);
+  std::vector<NodeId> home(sessions);
   for (int s = 0; s < sessions; ++s) {
-    Node* n = Value(cluster.AddNode(), "node");
+    Node* n = shared_node && s > 0 ? cluster.node(0)
+                                   : Value(cluster.AddNode(), "node");
+    home[s] = n->id();
     auto pages = Value(AllocatePopulatedPages(&cluster, n->id(), 4, 8, 64,
                                               /*seed=*/s + 1),
                        "pages");
@@ -158,6 +167,14 @@ LatencyStats MeasureCommit(int sessions, int txns_per_session) {
       }
     }
   }
+  auto total_forces = [&] {
+    std::uint64_t forces = 0;
+    for (NodeId id : cluster.NodeIds()) {
+      forces += cluster.node(id)->log().forces();
+    }
+    return forces;
+  };
+  const std::uint64_t forces_before = total_forces();
 
   std::vector<std::vector<std::uint64_t>> samples(sessions);
   std::uint64_t t0 = NowNs();
@@ -170,7 +187,7 @@ LatencyStats MeasureCommit(int sessions, int txns_per_session) {
       for (int i = 0; i < txns_per_session; ++i) {
         std::uint64_t s0 = NowNs();
         Status st = cluster.RunTransaction(
-            static_cast<NodeId>(s), [&](TxnHandle& txn) -> Status {
+            home[s], [&](TxnHandle& txn) -> Status {
               for (int u = 0; u < 4; ++u) {
                 const RecordId& rid =
                     records[s][rng.Uniform(records[s].size())];
@@ -185,6 +202,9 @@ LatencyStats MeasureCommit(int sessions, int txns_per_session) {
   }
   for (std::thread& t : threads) t.join();
   std::uint64_t wall = NowNs() - t0;
+  *forces_per_commit =
+      static_cast<double>(total_forces() - forces_before) /
+      static_cast<double>(sessions * txns_per_session);
 
   std::vector<std::uint64_t> all;
   for (auto& s : samples) all.insert(all.end(), s.begin(), s.end());
@@ -314,16 +334,29 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n--- BM_Commit: 4 updates/txn, %d txns/session ---\n", txns);
-  std::printf("%-10s | %12s %10s %10s\n", "sessions", "commits/s", "p50_us",
-              "p99.9_us");
-  for (int sessions : {1, 2, 4}) {
-    LatencyStats st = MeasureCommit(sessions, txns);
-    std::printf("%-10d | %12.0f %10.2f %10.2f\n", sessions, st.ops_per_sec,
-                st.p50_ns / 1e3, st.p999_ns / 1e3);
-    std::string key = "real_commit_s" + std::to_string(sessions);
+  std::printf("%-10s | %12s %10s %10s %9s\n", "sessions", "commits/s",
+              "p50_us", "p99.9_us", "forces/c");
+  struct Row {
+    int sessions;
+    bool shared_node;
+    const char* label;
+    const char* key;
+  };
+  const Row rows[] = {{1, false, "1", "real_commit_s1"},
+                      {2, false, "2", "real_commit_s2"},
+                      {4, false, "4", "real_commit_s4"},
+                      {4, true, "4 one-node", "real_commit_one_node_s4"}};
+  for (const Row& row : rows) {
+    double forces = 0;
+    LatencyStats st = MeasureCommit(row.sessions, txns, row.shared_node,
+                                    &forces);
+    std::printf("%-10s | %12.0f %10.2f %10.2f %9.3f\n", row.label,
+                st.ops_per_sec, st.p50_ns / 1e3, st.p999_ns / 1e3, forces);
+    std::string key = row.key;
     kv.push_back({key + "_per_sec", st.ops_per_sec});
     kv.push_back({key + "_p50_ns", st.p50_ns});
     kv.push_back({key + "_p999_ns", st.p999_ns});
+    kv.push_back({key + "_forces_per_commit", forces});
   }
 
   const int rounds = quick ? 10 : 100;

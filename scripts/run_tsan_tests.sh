@@ -4,7 +4,9 @@
 #
 # Builds the tree under -DCLOG_TSAN=ON in its own build directory and runs
 # the `execution`-labelled ctest suite — the cross-mode equivalence tests,
-# the real-mode crash drill, and the determinism pin — the tests that
+# the real-mode crash drill, the commit-coalescing drill (two sessions on
+# one node sharing a log force, and a kill while their commits are
+# parked), and the determinism pin — the tests that
 # actually put multiple threads through the executor, the mailbox network,
 # and the shared-state seams (metrics, trace sink, log manager) — followed
 # by the `restore`-labelled suite, whose real-mode half runs background

@@ -546,6 +546,7 @@ class TortureRun {
           gave_up = true;
           break;
         }
+        AckParkedWritersOf(rid);
         if (!expected_of(rid).has_value()) {
           Fail("update succeeded on deleted record " + rid.ToString());
           break;
@@ -560,6 +561,7 @@ class TortureRun {
           gave_up = true;
           break;
         }
+        AckParkedWritersOf(*rid);
         staged[*rid] = {prior_of(*rid), val};
         ++done;
       } else if (kind < 85) {  // Delete.
@@ -576,6 +578,7 @@ class TortureRun {
           gave_up = true;
           break;
         }
+        AckParkedWritersOf(rid);
         if (!expected_of(rid).has_value()) {
           Fail("delete succeeded on deleted record " + rid.ToString());
           break;
@@ -1060,6 +1063,29 @@ class TortureRun {
     }
     ++report_.txns_committed;
     Event("gc-ack node=" + std::to_string(p.node));
+  }
+
+  /// A write that just succeeded on `rid` proves that every parked commit
+  /// which wrote `rid` completed first: it held the lock until a force
+  /// covered it (the writer's own lock request forces the group when only
+  /// parked committers block it). Ack those now, before the writer stages
+  /// its prior, so the prior is the value they committed.
+  void AckParkedWritersOf(RecordId rid) {
+    if (parked_.empty()) return;
+    std::vector<ParkedTxn> keep;
+    for (ParkedTxn& p : parked_) {
+      Node* n = cluster_->node(p.node);
+      const bool wrote =
+          std::any_of(p.writes.begin(), p.writes.end(),
+                      [&](const StagedWrite& w) { return w.rid == rid; });
+      if (wrote && n != nullptr && n->state() == NodeState::kUp &&
+          n->txns().Find(p.txn) == nullptr) {
+        AckParked(p);
+      } else {
+        keep.push_back(std::move(p));
+      }
+    }
+    parked_ = std::move(keep);
   }
 
   /// The parked commit's fate is unknowable from here (its node crashed

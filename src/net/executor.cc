@@ -83,6 +83,13 @@ void ThreadPerNodeExecutor::Execute(Call* c) {
   FinishCall(c, /*rejected=*/false);
 }
 
+ThreadPerNodeExecutor::Call* ThreadPerNodeExecutor::PopLocked(Worker* w) {
+  Call* c = w->mailbox.front();
+  w->mailbox.pop_front();
+  w->not_full.notify_all();
+  return c;
+}
+
 void ThreadPerNodeExecutor::FinishCall(Call* c, bool rejected) {
   // The waiter owns the Call (it lives on Run's stack) and may destroy it
   // the instant it observes the flag, so the flag must be set — and the
@@ -109,9 +116,7 @@ void ThreadPerNodeExecutor::WorkerLoop(Worker* w) {
       std::unique_lock<std::mutex> lk(w->mu);
       w->cv.wait(lk, [&] { return w->stopping || !w->mailbox.empty(); });
       if (w->stopping) break;
-      c = w->mailbox.front();
-      w->mailbox.pop_front();
-      w->not_full.notify_all();
+      c = PopLocked(w);
     }
     Execute(c);
   }
@@ -162,14 +167,49 @@ bool ThreadPerNodeExecutor::Run(NodeId id, const Task& fn) {
                  !home->mailbox.empty();
         });
         if (call.done.load() || call.rejected.load()) break;
-        nested = home->mailbox.front();
-        home->mailbox.pop_front();
-        home->not_full.notify_all();
+        nested = PopLocked(home);
       }
       Execute(nested);
     }
   }
   return call.done.load();
+}
+
+bool ThreadPerNodeExecutor::RunQueued(NodeId id) {
+  Worker* w = t_owner == this ? static_cast<Worker*>(t_worker) : nullptr;
+  if (w == nullptr || w->id != id) return true;
+  // Only the calls waiting now: a session whose call completes inside this
+  // loop and sends its next one must not keep the caller from its ack.
+  std::size_t waiting = 0;
+  {
+    std::lock_guard<std::mutex> lk(w->mu);
+    waiting = w->mailbox.size();
+  }
+  for (; waiting > 0; --waiting) {
+    Call* c = nullptr;
+    {
+      std::lock_guard<std::mutex> lk(w->mu);
+      if (w->stopping || w->mailbox.empty()) break;
+      c = PopLocked(w);
+    }
+    Execute(c);
+  }
+  std::lock_guard<std::mutex> lk(w->mu);
+  return !w->stopping;
+}
+
+std::size_t ThreadPerNodeExecutor::QueuedCalls(NodeId id) {
+  Worker* w = FindWorker(id);
+  if (w == nullptr) return 0;
+  std::lock_guard<std::mutex> lk(w->mu);
+  return w->mailbox.size();
+}
+
+bool ThreadPerNodeExecutor::Stopping(NodeId id) {
+  Worker* w = FindWorker(id);
+  if (w == nullptr) return false;
+  std::lock_guard<std::mutex> lk(w->mu);
+  return w->stopping;
 }
 
 }  // namespace clog

@@ -60,6 +60,17 @@ class Executor {
   /// stopped (the caller sees the node as down). `fn` may itself call Run
   /// against other nodes (RPCs) or the same node (self-sends).
   virtual bool Run(NodeId id, const Task& fn) = 0;
+
+  /// Runs, on `id`'s own execution context, the calls already waiting in
+  /// its mailbox when this is called — typically other sessions'
+  /// transaction bodies — before the caller goes on. Node::Commit calls it
+  /// between parking its COMMIT record and forcing the log, so committers
+  /// that were queued behind it park too and one force covers them all
+  /// (docs/PROTOCOLS.md "Commit coalescing"). A no-op returning true when
+  /// the caller is not `id`'s worker. Returns false if the context began
+  /// stopping (the node is being killed): the caller must not force or
+  /// acknowledge anything, since the crash decides every parked commit.
+  virtual bool RunQueued(NodeId id) = 0;
 };
 
 /// Simulation backend: work runs synchronously on the calling thread. The
@@ -75,6 +86,8 @@ class InlineExecutor final : public Executor {
     fn();
     return true;
   }
+  /// Nothing is ever queued: every call ran to completion inline.
+  bool RunQueued(NodeId id) override { return true; }
 };
 
 /// Real-threads backend: one worker thread per node draining a bounded
@@ -101,6 +114,13 @@ class ThreadPerNodeExecutor final : public Executor {
   void StopNode(NodeId id) override;
   void StopAll() override;
   bool Run(NodeId id, const Task& fn) override;
+  bool RunQueued(NodeId id) override;
+
+  /// Calls waiting in `id`'s mailbox right now (introspection for drills
+  /// that must know a call is queued before they let the worker go on).
+  std::size_t QueuedCalls(NodeId id);
+  /// True once StopNode(id) has begun and before the worker is restarted.
+  bool Stopping(NodeId id);
 
  private:
   struct Worker;
@@ -135,6 +155,9 @@ class ThreadPerNodeExecutor final : public Executor {
   Worker* FindWorker(NodeId id);
   void WorkerLoop(Worker* w);
   static void Execute(Call* c);
+  /// Pops the oldest call of `w`'s mailbox; `w->mu` must be held and the
+  /// mailbox non-empty.
+  static Call* PopLocked(Worker* w);
   static void FinishCall(Call* c, bool rejected);
   static void StopLocked(Worker* w);
 

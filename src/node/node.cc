@@ -400,6 +400,12 @@ Result<Page*> Node::AcquirePage(Transaction* txn, PageId pid, LockMode mode) {
         CLOG_RETURN_IF_ERROR(EnsureNodeLock(txn, pid, mode));
         break;  // retry local acquisition
       case LocalAcquire::Outcome::kLocalConflict:
+        if (OnlyParkedCommitters(la.blockers)) {
+          // The holders only wait for the group force: run it (they
+          // complete and release) instead of aborting this transaction.
+          CLOG_RETURN_IF_ERROR(FlushCommitGroup());
+          break;  // retry local acquisition
+        }
         txn->last_blockers = la.blockers;
         return Status::Busy("local transaction holds " + pid.ToString());
     }
@@ -433,6 +439,10 @@ Result<Page*> Node::AcquireRecord(Transaction* txn, RecordId rid,
         CLOG_RETURN_IF_ERROR(EnsureNodeLock(txn, rid.page, mode));
         break;
       case LocalAcquire::Outcome::kLocalConflict:
+        if (OnlyParkedCommitters(la.blockers)) {
+          CLOG_RETURN_IF_ERROR(FlushCommitGroup());
+          break;
+        }
         txn->last_blockers = la.blockers;
         return Status::Busy("local transaction holds " + rid.ToString());
     }
@@ -660,83 +670,62 @@ Result<TxnId> Node::Begin(TxnOptions opts) {
 }
 
 Status Node::Commit(TxnId txn_id) {
-  if (GroupCommitEnabled()) {
-    // Synchronous commit under the coalescing policy: request, and if that
-    // parked us (group not yet full), lead the group force ourselves. The
-    // force completes every parked committer — us included — so the caller
-    // still gets the never-ACK-before-durable guarantee, and concurrent
-    // parked committers ride along on our one force.
-    Result<bool> done = CommitRequest(txn_id);
-    if (!done.ok()) return done.status();
-    if (!*done) return FlushCommitGroup();
-    return Status::OK();
-  }
-
   Transaction* txn = txns_.Find(txn_id);
   if (txn == nullptr || txn->state != TxnState::kActive) {
     return Status::NotFound("no active transaction");
   }
-  const std::uint64_t commit_start_ns = network_->clock()->NowNanos();
 
-  switch (options_.logging_mode) {
-    case LoggingMode::kClientLocal: {
-      // The headline of the paper: commit writes and forces the *local*
-      // log only. No messages, no page forces, regardless of where the
-      // updated pages live.
-      LogRecord commit;
-      commit.type = LogRecordType::kCommit;
-      commit.txn = txn_id;
-      commit.prev_lsn = txn->last_lsn;
-      FillCommitMeta(txn, &commit);
-      Lsn commit_lsn = kNullLsn;
-      CLOG_RETURN_IF_ERROR(AppendWithReclaim(commit, &commit_lsn));
-      CLOG_RETURN_IF_ERROR(ForceLog(commit_lsn));
-      NoteCommittedPages(txn, commit_lsn);
-      if ((commit.commit_flags & kCommitFlagLogical) != 0) {
-        ctr_txn_commits_logical_->Add(1);
+  if (options_.logging_mode == LoggingMode::kClientLocal) {
+    // The headline of the paper: commit writes and forces the *local* log
+    // only. No messages, no page forces, regardless of where the updated
+    // pages live. The commit parks first and lets the work already queued
+    // on this node run, so queued sessions that commit park behind it and
+    // the one force below covers them all (docs/PROTOCOLS.md "Commit
+    // coalescing"). The simulation never queues anything: there the
+    // record sequence stays COMMIT, force, END.
+    CLOG_ASSIGN_OR_RETURN(bool durable, ParkCommit(txn));
+    if (durable) return Status::OK();
+    Executor* executor = network_->executor();
+    if (executor != nullptr && !executor->RunQueued(id_)) {
+      // The node is being killed: nothing parked may be forced or acked
+      // now; restart recovery decides every parked commit.
+      return Status::NodeDown("node stopping with commit " +
+                              std::to_string(txn_id) + " parked");
+    }
+    return FlushCommitGroup();
+  }
+
+  const std::uint64_t commit_start_ns = network_->clock()->NowNanos();
+  if (options_.logging_mode == LoggingMode::kShipToOwner) {
+    // Baseline B1 (ARIES/CSA-like): all log records travel to the owner at
+    // commit, with a force there.
+    CLOG_RETURN_IF_ERROR(
+        ShipPendingRecords(txn, /*force=*/true, /*only_page=*/nullptr));
+  } else {
+    // Baseline B2 (Rdb/VMS-like): every updated page is forced to the
+    // owner's disk before the commit record is written.
+    for (PageId pid : txn->updated_pages) {
+      Page* page = pool_.Lookup(pid);
+      if (page == nullptr || !pool_.IsDirty(pid)) continue;
+      CLOG_RETURN_IF_ERROR(log_.Flush(page->page_lsn()));
+      if (OwnsPage(pid)) {
+        CLOG_RETURN_IF_ERROR(ForceOwnPage(pid));
+      } else {
+        const NodeId owner = OwnerOf(pid);
+        page->SealChecksum();
+        CLOG_RETURN_IF_ERROR(network_->PageShip(id_, owner, *page));
+        dpt_.OnReplaced(pid, page->psn(), log_.end_lsn());
+        CLOG_RETURN_IF_ERROR(network_->FlushRequest(id_, owner, pid));
+        pool_.MarkClean(pid);
       }
-      LogRecord end;
-      end.type = LogRecordType::kEnd;
-      end.txn = txn_id;
-      end.prev_lsn = commit_lsn;
-      Lsn end_lsn = kNullLsn;
-      CLOG_RETURN_IF_ERROR(AppendWithReclaim(end, &end_lsn));
-      break;
     }
-    case LoggingMode::kShipToOwner: {
-      // Baseline B1 (ARIES/CSA-like): all log records travel to the owner
-      // at commit, with a force there.
-      CLOG_RETURN_IF_ERROR(
-          ShipPendingRecords(txn, /*force=*/true, /*only_page=*/nullptr));
-      break;
-    }
-    case LoggingMode::kForceAtTransfer: {
-      // Baseline B2 (Rdb/VMS-like): every updated page is forced to the
-      // owner's disk before the commit record is written.
-      for (PageId pid : txn->updated_pages) {
-        Page* page = pool_.Lookup(pid);
-        if (page == nullptr || !pool_.IsDirty(pid)) continue;
-        CLOG_RETURN_IF_ERROR(log_.Flush(page->page_lsn()));
-        if (OwnsPage(pid)) {
-          CLOG_RETURN_IF_ERROR(ForceOwnPage(pid));
-        } else {
-          const NodeId owner = OwnerOf(pid);
-          page->SealChecksum();
-          CLOG_RETURN_IF_ERROR(network_->PageShip(id_, owner, *page));
-          dpt_.OnReplaced(pid, page->psn(), log_.end_lsn());
-          CLOG_RETURN_IF_ERROR(network_->FlushRequest(id_, owner, pid));
-          pool_.MarkClean(pid);
-        }
-      }
-      LogRecord commit;
-      commit.type = LogRecordType::kCommit;
-      commit.txn = txn_id;
-      commit.prev_lsn = txn->last_lsn;
-      Lsn commit_lsn = kNullLsn;
-      CLOG_RETURN_IF_ERROR(AppendWithReclaim(commit, &commit_lsn));
-      CLOG_RETURN_IF_ERROR(ForceLog(commit_lsn));
-      break;
-    }
+    LogRecord commit;
+    commit.type = LogRecordType::kCommit;
+    commit.txn = txn_id;
+    commit.prev_lsn = txn->last_lsn;
+    Lsn commit_lsn = kNullLsn;
+    CLOG_RETURN_IF_ERROR(AppendWithReclaim(commit, &commit_lsn));
+    CLOG_RETURN_IF_ERROR(ForceLog(commit_lsn));
   }
 
   txn->state = TxnState::kCommitted;
@@ -755,7 +744,8 @@ Status Node::Commit(TxnId txn_id) {
 }
 
 // ---------------------------------------------------------------------------
-// Group commit (GroupCommitPolicy): park committers, coalesce their forces
+// Commit group: park committers, coalesce their forces (every kClientLocal
+// commit; GroupCommitPolicy adds the window)
 // ---------------------------------------------------------------------------
 
 bool Node::GroupCommitEnabled() const {
@@ -774,9 +764,14 @@ Result<bool> Node::CommitRequest(TxnId txn_id) {
   if (txn == nullptr || txn->state != TxnState::kActive) {
     return Status::NotFound("no active transaction");
   }
+  return ParkCommit(txn);
+}
+
+Result<bool> Node::ParkCommit(Transaction* txn) {
+  const std::uint64_t commit_start_ns = network_->clock()->NowNanos();
   LogRecord commit;
   commit.type = LogRecordType::kCommit;
-  commit.txn = txn_id;
+  commit.txn = txn->id;
   commit.prev_lsn = txn->last_lsn;
   FillCommitMeta(txn, &commit);
   Lsn commit_lsn = kNullLsn;
@@ -792,11 +787,11 @@ Result<bool> Node::CommitRequest(TxnId txn_id) {
   }
   txn->state = TxnState::kCommitting;
   txn->last_lsn = commit_lsn;
-  commit_group_.push_back(
-      {txn_id, commit_lsn, network_->clock()->NowNanos()});
+  commit_group_.push_back({txn->id, commit_lsn, commit_start_ns});
   metrics_.GetCounter("gc.parked").Add(1);
+  if (!GroupCommitEnabled()) return false;
   if (trace_ != nullptr) {
-    trace_->Emit(id_, TraceEventType::kGroupCommitPark, txn_id, commit_lsn,
+    trace_->Emit(id_, TraceEventType::kGroupCommitPark, txn->id, commit_lsn,
                  static_cast<std::uint32_t>(commit_group_.size()));
   }
   if (commit_group_.size() >=
@@ -821,6 +816,23 @@ Result<bool> Node::PollCommit(TxnId txn_id) {
   // never requested commit here.
   if (txns_.Find(txn_id) == nullptr) return true;
   return Status::FailedPrecondition("PollCommit: transaction not committing");
+}
+
+bool Node::OnlyParkedCommitters(const std::vector<TxnId>& txns) const {
+  if (txns.empty()) return false;
+  for (TxnId t : txns) {
+    const Transaction* txn = txns_.Find(t);
+    if (txn == nullptr || txn->state != TxnState::kCommitting) return false;
+  }
+  return true;
+}
+
+Result<CallbackDecision> Node::CanComplyAfterParked(PageId pid,
+                                                    LockMode downgrade_to) {
+  CallbackDecision dec = lock_cache_.CanComply(pid, downgrade_to);
+  if (dec.can_comply || !OnlyParkedCommitters(dec.blocking_txns)) return dec;
+  CLOG_RETURN_IF_ERROR(FlushCommitGroup());
+  return lock_cache_.CanComply(pid, downgrade_to);
 }
 
 Status Node::FlushCommitGroup() {
@@ -873,8 +885,13 @@ Status Node::CompleteCoveredCommits() {
       restore_.NoteCommit(this, network_->clock()->NowNanos());
     }
     if (trace_ != nullptr) {
-      trace_->Emit(id_, TraceEventType::kGroupCommitCover, p.txn,
-                   p.commit_lsn);
+      // Without the group-commit policy a commit traces as it always has.
+      if (GroupCommitEnabled()) {
+        trace_->Emit(id_, TraceEventType::kGroupCommitCover, p.txn,
+                     p.commit_lsn);
+      } else {
+        trace_->Emit(id_, TraceEventType::kTxnCommit, p.txn);
+      }
     }
   }
   commit_group_ = std::move(still_parked);

@@ -173,9 +173,11 @@ class Node : public NodeService {
 
   /// Commits. In kClientLocal this forces the local log only — the paper's
   /// headline: zero messages, no page forces. Baselines pay their protocol.
-  /// With GroupCommitPolicy enabled this is the synchronous form: the
-  /// caller leads a group force that also completes every other parked
-  /// committer (CommitRequest + FlushCommitGroup).
+  /// In kClientLocal, under any policy, the commit parks its COMMIT record,
+  /// runs the calls already queued on this node (Executor::RunQueued), and
+  /// then leads one group force that completes every parked committer.
+  /// Returns only once the commit is durable; NodeDown (nothing forced, no
+  /// ack) when the node is killed while the commit is parked.
   Status Commit(TxnId txn);
 
   // --- Group commit (GroupCommitPolicy; docs/PROTOCOLS.md) ---
@@ -573,8 +575,25 @@ class Node : public NodeService {
   /// the absorbed-force half of group commit.
   Status ForceLog(Lsn lsn);
 
-  /// True when commits on this node coalesce (policy on + kClientLocal).
+  /// True when GroupCommitPolicy is on and applies (kClientLocal): parking
+  /// is traced, the group size is capped, and CommitRequest/PollCommit
+  /// hold commits open for the window.
   bool GroupCommitEnabled() const;
+
+  /// Appends `txn`'s COMMIT record and parks it in commit_group_. Returns
+  /// true when the park filled a policy group and the group force already
+  /// completed it; false when it is parked.
+  Result<bool> ParkCommit(Transaction* txn);
+
+  /// True when every transaction in `txns` (non-empty) is a parked
+  /// committer: it can no longer abort and waits only for the group force.
+  bool OnlyParkedCommitters(const std::vector<TxnId>& txns) const;
+
+  /// LockCache::CanComply for a callback on `pid`, except that a callback
+  /// blocked only by parked committers forces the group first (they
+  /// complete and release their locks) and then asks again.
+  Result<CallbackDecision> CanComplyAfterParked(PageId pid,
+                                                LockMode downgrade_to);
 
   /// Finishes every parked committer whose commit record is now durable:
   /// END record, lock release, commit acknowledged. Called after every
@@ -703,7 +722,7 @@ class Node : public NodeService {
   /// B1 only: client log records land here at the owner.
   std::uint64_t b1_received_records_ = 0;
 
-  /// Group commit: committers whose commit record is appended but not yet
+  /// Commit group: committers whose commit record is appended but not yet
   /// durable, in park order. Volatile — a crash loses the group, and each
   /// member becomes indeterminate exactly like a crash mid-force (the
   /// commit record may or may not survive in the torn tail). Cleared in
@@ -711,6 +730,8 @@ class Node : public NodeService {
   struct ParkedCommit {
     TxnId txn = kInvalidTxnId;
     Lsn commit_lsn = kNullLsn;
+    /// When the commit began (before its COMMIT append): the start of its
+    /// commit latency and of its group-commit window.
     std::uint64_t parked_at_ns = 0;
   };
   std::vector<ParkedCommit> commit_group_;

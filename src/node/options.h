@@ -31,19 +31,24 @@ enum class LoggingMode : std::uint8_t {
 
 std::string_view LoggingModeName(LoggingMode m);
 
-/// Commit-time force coalescing (group commit — the force discipline ARIES
-/// and ARIES/CSA assume as their baseline). When enabled, a committing
-/// transaction appends its commit record and *parks* instead of forcing
-/// immediately; one shared force — triggered by the group filling, the
-/// coalescing window expiring, or any other force on the same log — covers
-/// every parked commit LSN at once. A transaction is never acknowledged
-/// before its commit record is durable; the only thing traded away is
-/// latency inside the window. Applies to LoggingMode::kClientLocal (the
-/// paper's protocol — the one whose commit force is purely local).
+/// Windowed group commit (the force discipline ARIES and ARIES/CSA assume
+/// as their baseline). Every kClientLocal commit already parks its commit
+/// record and shares one force with the commits queued on its node
+/// (Node::Commit, Executor::RunQueued; docs/PROTOCOLS.md "Commit
+/// coalescing"); that needs no policy. Enabling this adds a window for the
+/// asynchronous CommitRequest/PollCommit form: a parked commit waits for
+/// the group to fill, the window to expire, or any other force on the same
+/// log, whichever comes first. Synchronous Commit never waits out the
+/// window, and the policy also caps the group at max_group_size and traces
+/// parks. A transaction is never acknowledged before its commit record is
+/// durable; the only thing traded away is latency inside the window.
+/// Applies to LoggingMode::kClientLocal (the paper's protocol — the one
+/// whose commit force is purely local).
 struct GroupCommitPolicy {
   bool enabled = false;
-  /// Longest a committer parks (simulated time) before the group forces
-  /// anyway. 0 = force immediately (coalescing only via group size).
+  /// Longest a CommitRequest parks (simulated time) before PollCommit
+  /// forces the group. 0 = force at the first poll (coalescing only via
+  /// group size and absorbed forces).
   std::uint64_t window_ns = 1'000'000;
   /// Force as soon as this many committers are parked.
   std::size_t max_group_size = 8;
@@ -169,8 +174,8 @@ struct NodeOptions {
   /// Optional fault injector shared by the whole cluster (not owned); wired
   /// into this node's DiskManager and LogManager on open. nullptr = off.
   FaultInjector* fault_injector = nullptr;
-  /// The unified logging policy (strategy, group commit, archive cadence,
-  /// redo pool size). Unset = inherit ClusterOptions::logging_policy; a
+  /// The unified logging policy (strategy, group commit, archive
+  /// cadence). Unset = inherit ClusterOptions::logging_policy; a
   /// node built outside a cluster runs the default policy.
   std::optional<LoggingPolicy> logging_policy;
   /// On-demand media recovery: serve traffic while lost pages rebuild at

@@ -107,7 +107,8 @@ Status Node::HandleLockPage(NodeId from, PageId pid, LockMode mode,
     for (NodeId holder : out.conflicting) {
       if (holder == id_) {
         // Callback to ourselves: our own local transactions are the users.
-        CallbackDecision dec = lock_cache_.CanComply(pid, downgrade_to);
+        CLOG_ASSIGN_OR_RETURN(CallbackDecision dec,
+                              CanComplyAfterParked(pid, downgrade_to));
         if (!dec.can_comply) {
           all_complied = false;
           reply->blockers.push_back(holder);
@@ -221,7 +222,8 @@ Status Node::HandleCallback(NodeId from, PageId pid, LockMode downgrade_to,
   *reply = CallbackReply();
   if (state_ != NodeState::kUp) return Status::NodeDown("holder not up");
 
-  CallbackDecision dec = lock_cache_.CanComply(pid, downgrade_to);
+  CLOG_ASSIGN_OR_RETURN(CallbackDecision dec,
+                        CanComplyAfterParked(pid, downgrade_to));
   if (!dec.can_comply) {
     reply->complied = false;
     reply->blocking_txns = dec.blocking_txns;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <condition_variable>
 #include <map>
 #include <mutex>
 #include <set>
@@ -10,6 +11,7 @@
 
 #include "core/cluster.h"
 #include "tests/test_util.h"
+#include "wal/log_reader.h"
 
 namespace clog {
 namespace {
@@ -266,6 +268,212 @@ TEST(ExecutionModeTest, StoppedWorkerRejectsWorkUntilRestart) {
   EXPECT_TRUE(st.IsNodeDown()) << st.ToString();
   ASSERT_OK(cluster.RestartNode(n->id()));
   ASSERT_OK(cluster.Execute(n->id(), [] {}));
+}
+
+/// One-shot latch: Wait blocks until Open.
+class Gate {
+ public:
+  void Open() {
+    std::lock_guard<std::mutex> lk(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  void Wait() {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [&] { return open_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+/// Commit coalescing on real threads (docs/PROTOCOLS.md "Commit
+/// coalescing"). Two client threads share one node. Session A's body
+/// holds the node's worker on a gate until session B's call is queued
+/// behind it, so every run takes the same path: A parks its COMMIT, the
+/// worker runs B's queued body, B parks too, and one force covers both.
+class CommitCoalescingDrill : public ::testing::Test {
+ protected:
+  struct ClientResult {
+    Status status;
+    TxnId txn = kInvalidTxnId;
+    Lsn flushed_at_return = kNullLsn;  ///< flushed_lsn when the call returned.
+  };
+
+  void Start(bool record_locking) {
+    ClusterOptions opts;
+    opts.dir = dir_.path();
+    opts.execution_mode = ExecutionMode::kRealThreads;
+    opts.node_defaults.local_record_locking = record_locking;
+    cluster_ = std::make_unique<Cluster>(opts);
+    node_ = *cluster_->AddNode();
+    executor_ = static_cast<ThreadPerNodeExecutor*>(&cluster_->executor());
+    Status setup = cluster_->Execute(node_->id(), [&] {
+      for (RecordId* rid : {&a_rec_, &b_rec_}) {
+        Result<PageId> pid = node_->AllocatePage();
+        ASSERT_OK(pid.status());
+        Result<TxnId> txn = node_->Begin();
+        ASSERT_OK(txn.status());
+        Result<RecordId> r = node_->Insert(*txn, *pid, "v0");
+        ASSERT_OK(r.status());
+        *rid = *r;
+        if (rid == &a_rec_) {
+          Result<RecordId> r2 = node_->Insert(*txn, *pid, "v0");
+          ASSERT_OK(r2.status());
+          a_rec2_ = *r2;
+        }
+        ASSERT_OK(node_->Commit(*txn));
+      }
+    });
+    ASSERT_OK(setup);
+  }
+
+  /// Runs one transaction that updates `rid` on the shared node; `in_body`
+  /// opens once the update is done, and the body then waits for `go`.
+  std::thread Client(RecordId rid, const std::string& value, Gate* in_body,
+                     Gate* go, ClientResult* out) {
+    return std::thread([=, this] {
+      out->status = cluster_->RunTransaction(
+          node_->id(),
+          [&](TxnHandle& txn) -> Status {
+            out->txn = txn.id();
+            CLOG_RETURN_IF_ERROR(txn.Update(rid, value));
+            if (in_body != nullptr) in_body->Open();
+            if (go != nullptr) go->Wait();
+            return Status::OK();
+          },
+          /*max_attempts=*/1);
+      out->flushed_at_return = node_->log().flushed_lsn();
+    });
+  }
+
+  /// A runs and parks on its gate; B's call is queued behind it.
+  void StartBoth(RecordId b_rid) {
+    a_ = Client(a_rec_, "A", &a_in_body_, &a_go_, &a_result_);
+    a_in_body_.Wait();
+    b_ = Client(b_rid, "B", &b_in_body_, &b_go_, &b_result_);
+    while (executor_->QueuedCalls(node_->id()) == 0) std::this_thread::yield();
+    forces_before_ = node_->log().forces();
+  }
+
+  /// COMMIT LSN of `txn` in the node's log (kNullLsn if none).
+  Lsn CommitLsn(TxnId txn) {
+    Lsn found = kNullLsn;
+    EXPECT_OK(cluster_->Execute(node_->id(), [&] {
+      LogCursor cursor(&node_->log(), LogManager::first_lsn());
+      LogRecord rec;
+      Lsn lsn = kNullLsn;
+      while (cursor.Next(&rec, &lsn)) {
+        if (rec.type == LogRecordType::kCommit && rec.txn == txn) found = lsn;
+      }
+    }));
+    return found;
+  }
+
+  void ExpectDurableAck(const ClientResult& r) {
+    ASSERT_OK(r.status);
+    const Lsn commit_lsn = CommitLsn(r.txn);
+    ASSERT_NE(commit_lsn, kNullLsn);
+    EXPECT_GT(r.flushed_at_return, commit_lsn)
+        << "client returned before its COMMIT record was durable";
+  }
+
+  std::string ReadBack(RecordId rid) {
+    std::string value;
+    EXPECT_OK(cluster_->RunTransaction(node_->id(), [&](TxnHandle& txn) {
+      CLOG_ASSIGN_OR_RETURN(value, txn.Read(rid));
+      return Status::OK();
+    }));
+    return value;
+  }
+
+  TempDir dir_;
+  std::unique_ptr<Cluster> cluster_;
+  Node* node_ = nullptr;
+  ThreadPerNodeExecutor* executor_ = nullptr;
+  RecordId a_rec_, a_rec2_, b_rec_;
+  Gate a_in_body_, a_go_, b_in_body_, b_go_;
+  ClientResult a_result_, b_result_;
+  std::thread a_, b_;
+  std::uint64_t forces_before_ = 0;
+};
+
+TEST_F(CommitCoalescingDrill, QueuedCommitsShareOneForce) {
+  Start(/*record_locking=*/false);
+  StartBoth(b_rec_);
+  b_go_.Open();
+  a_go_.Open();
+  a_.join();
+  b_.join();
+  EXPECT_EQ(node_->log().forces(), forces_before_ + 1);
+  ExpectDurableAck(a_result_);
+  ExpectDurableAck(b_result_);
+  EXPECT_EQ(node_->metrics().CounterValue("txn.aborts"), 0u);
+  EXPECT_EQ(ReadBack(a_rec_), "A");
+  EXPECT_EQ(ReadBack(b_rec_), "B");
+}
+
+TEST_F(CommitCoalescingDrill, OtherRecordOfParkedPageSharesTheForce) {
+  // Record locking: B writes another record of A's page while A is
+  // parked. No conflict, no abort, and still one force for both.
+  Start(/*record_locking=*/true);
+  StartBoth(a_rec2_);
+  b_go_.Open();
+  a_go_.Open();
+  a_.join();
+  b_.join();
+  EXPECT_EQ(node_->log().forces(), forces_before_ + 1);
+  ExpectDurableAck(a_result_);
+  ExpectDurableAck(b_result_);
+  EXPECT_EQ(node_->metrics().CounterValue("txn.aborts"), 0u);
+  EXPECT_EQ(ReadBack(a_rec_), "A");
+  EXPECT_EQ(ReadBack(a_rec2_), "B");
+}
+
+TEST_F(CommitCoalescingDrill, PageHeldByParkedCommitterForcesGroupNoAbort) {
+  // Page locking: B needs X on the page A holds while parked. B's request
+  // forces A's group (A completes and releases) instead of aborting B;
+  // B's own commit then forces once more. One force per commit, no
+  // abort, no retry.
+  Start(/*record_locking=*/false);
+  StartBoth(a_rec2_);
+  b_go_.Open();
+  a_go_.Open();
+  a_.join();
+  b_.join();
+  EXPECT_EQ(node_->log().forces(), forces_before_ + 2);
+  ExpectDurableAck(a_result_);
+  ExpectDurableAck(b_result_);
+  EXPECT_EQ(node_->metrics().CounterValue("txn.aborts"), 0u);
+  EXPECT_EQ(ReadBack(a_rec_), "A");
+  EXPECT_EQ(ReadBack(a_rec2_), "B");
+}
+
+TEST_F(CommitCoalescingDrill, KillWhileParkedAcksNeitherAndRollsBackBoth) {
+  // The node is killed after A parked and while B's body still runs on
+  // A's worker. B then parks and finds the worker stopping: nothing is
+  // forced, neither client is acked, and restart rolls both back.
+  Start(/*record_locking=*/false);
+  StartBoth(b_rec_);
+  a_go_.Open();
+  b_in_body_.Wait();
+  std::thread killer([&] { EXPECT_OK(cluster_->CrashNode(node_->id())); });
+  while (!executor_->Stopping(node_->id())) std::this_thread::yield();
+  b_go_.Open();
+  a_.join();
+  b_.join();
+  killer.join();
+  EXPECT_TRUE(a_result_.status.IsNodeDown()) << a_result_.status.ToString();
+  EXPECT_TRUE(b_result_.status.IsNodeDown()) << b_result_.status.ToString();
+  EXPECT_EQ(node_->log().forces(), forces_before_);
+
+  ASSERT_OK(cluster_->RestartNode(node_->id()));
+  EXPECT_EQ(ReadBack(a_rec_), "v0");
+  EXPECT_EQ(ReadBack(b_rec_), "v0");
+  EXPECT_EQ(CommitLsn(a_result_.txn), kNullLsn);
+  EXPECT_EQ(CommitLsn(b_result_.txn), kNullLsn);
 }
 
 /// Own-page recovery equivalence across engines. Every session writes only

@@ -190,6 +190,74 @@ TEST_F(GroupCommitTest, CrashWhileParkedRollsBackOnlyUnacked) {
   ASSERT_OK(n->Commit(reader));
 }
 
+TEST_F(GroupCommitTest, PeerXRequestOnParkedPageForcesGroupOnce) {
+  // A parked committer can no longer abort; it only waits for its group's
+  // force. So a callback that finds nothing but parked committers in its
+  // way forces the group and complies instead of refusing: the peer's X
+  // request on the page completes after exactly one force on the holder,
+  // with no Busy and no abort on either node.
+  Start(/*max_group_size=*/8, /*window_ns=*/10'000'000, /*num_nodes=*/2);
+  Node* owner = nodes_[0];
+  Node* holder = nodes_[1];
+
+  ASSERT_OK_AND_ASSIGN(PageId pid, owner->AllocatePage());
+  ASSERT_OK_AND_ASSIGN(TxnId seed, owner->Begin());
+  ASSERT_OK_AND_ASSIGN(RecordId rid, owner->Insert(seed, pid, "v0"));
+  ASSERT_OK(owner->Commit(seed));
+
+  ASSERT_OK_AND_ASSIGN(TxnId parked, holder->Begin());
+  ASSERT_OK(holder->Update(parked, rid, "v1"));
+  ASSERT_OK_AND_ASSIGN(bool done, holder->CommitRequest(parked));
+  ASSERT_FALSE(done);
+
+  const std::uint64_t holder_forces = holder->log().forces();
+  ASSERT_OK_AND_ASSIGN(TxnId writer, owner->Begin());
+  ASSERT_OK(owner->Update(writer, rid, "v2"));  // Not Busy.
+  EXPECT_EQ(holder->log().forces(), holder_forces + 1);
+  EXPECT_EQ(NodeCounter(holder, "lock.callbacks_honored"), 1u);
+  EXPECT_EQ(NodeCounter(holder, "lock.callbacks_refused"), 0u);
+
+  // The forced group acknowledged the parked commit; the writer saw its
+  // value under the lock and commits on top of it.
+  ASSERT_OK_AND_ASSIGN(bool acked, holder->PollCommit(parked));
+  EXPECT_TRUE(acked);
+  ASSERT_OK_AND_ASSIGN(std::string seen, owner->Read(writer, rid));
+  EXPECT_EQ(seen, "v2");
+  ASSERT_OK(owner->Commit(writer));
+  EXPECT_EQ(NodeCounter(holder, "txn.commits"), 1u);
+  EXPECT_EQ(NodeCounter(owner, "txn.aborts"), 0u);
+  EXPECT_EQ(NodeCounter(holder, "txn.aborts"), 0u);
+}
+
+TEST_F(GroupCommitTest, LocalConflictWithParkedCommitterForcesGroup) {
+  // The same rule for transactions on one node: an X request that only a
+  // parked committer blocks forces the group (one force) and is granted
+  // instead of returning Busy, which would abort the requester.
+  Start(/*max_group_size=*/8, /*window_ns=*/10'000'000);
+  Node* n = nodes_[0];
+
+  ASSERT_OK_AND_ASSIGN(PageId pid, n->AllocatePage());
+  ASSERT_OK_AND_ASSIGN(TxnId first, n->Begin());
+  ASSERT_OK_AND_ASSIGN(RecordId rid, n->Insert(first, pid, "first"));
+  ASSERT_OK_AND_ASSIGN(bool done, n->CommitRequest(first));
+  ASSERT_FALSE(done);
+
+  const std::uint64_t forces = n->log().forces();
+  ASSERT_OK_AND_ASSIGN(TxnId second, n->Begin());
+  ASSERT_OK(n->Update(second, rid, "second"));
+  EXPECT_EQ(n->log().forces(), forces + 1);
+  ASSERT_OK_AND_ASSIGN(bool acked, n->PollCommit(first));
+  EXPECT_TRUE(acked);
+
+  // A blocker that is still active can abort: the request gets Busy.
+  ASSERT_OK_AND_ASSIGN(TxnId third, n->Begin());
+  Status busy = n->Update(third, rid, "third");
+  EXPECT_TRUE(busy.IsBusy()) << busy.ToString();
+  EXPECT_EQ(n->log().forces(), forces + 1);
+  ASSERT_OK(n->Abort(third));
+  ASSERT_OK(n->Commit(second));
+}
+
 TEST_F(GroupCommitTest, PlainCommitStillSynchronousUnderPolicy) {
   // Node::Commit keeps its blocking contract with the policy on: it
   // parks, immediately leads the group force, and returns with the
